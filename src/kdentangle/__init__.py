@@ -37,7 +37,6 @@ from .kd import (
     kd_full,
     kd_marginal,
     kd_to_csv,
-    marginalize_over_b,
     max_nonreality,
     nonreality,
     optimal_second_basis,
@@ -55,11 +54,9 @@ from .linalg import (
     trace_norm,
 )
 from .optimize import (
-    BasisParams,
     ConvexRoofResult,
     OptimizerConfig,
     SearchDiagnostics,
-    materialize_basis,
     minimize_convex_roof,
     minimize_over_bases,
     unitary_from_angles,
@@ -70,7 +67,6 @@ from .states import (
     DensityOperator,
     SchmidtDecomposition,
     apply_local_unitary,
-    assemble_from_schmidt,
     basis_ket,
     bell_state,
     haar_pure,

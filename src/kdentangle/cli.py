@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed", help="convex-roof entanglement for a mixed state")
     add_common(p)
     p.add_argument("--terms", type=int, default=None,
-                   help="decomposition size (default rank^2, capped at 16)")
+                   help="decomposition size (default min(2*rank, 16), at most 16)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("bounds", help="lower/upper bound report")

@@ -12,15 +12,16 @@ from . import linalg
 from .errors import DimensionMismatch, DomainError, NotPSD, OptimizerFailed
 from .kd import _max_nonreality_mat
 from .optimize import ConvexRoofResult, OptimizerConfig, minimize_convex_roof, minimize_over_bases
-from .states import BipartiteDims, BipartitePureState, DensityOperator, require_basis, schmidt
+from .states import (
+    BipartiteDims,
+    BipartitePureState,
+    DensityOperator,
+    as_state_matrix,
+    require_basis,
+    schmidt,
+)
 
 EIG_FLOOR = -1e-10
-
-
-def _local_matrix(rho_local) -> np.ndarray:
-    if isinstance(rho_local, DensityOperator):
-        return rho_local.matrix
-    return linalg.as_matrix(rho_local)
 
 
 def _entropy_from_eigenvalues(lam: np.ndarray) -> float:
@@ -41,7 +42,7 @@ def nonreality_entropy(rho_local) -> float:
     Vanishes exactly on pure states and is maximal on the maximally mixed
     state, where it equals ``sqrt(d - 1)``.
     """
-    m = _local_matrix(rho_local)
+    m = as_state_matrix(rho_local)
     lam = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)
     if lam[0] < EIG_FLOOR:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below {EIG_FLOOR:g}")
@@ -299,7 +300,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = No
 
 def wootters_concurrence(rho) -> float:
     """Two-qubit mixed-state concurrence via the spin-flip spectrum."""
-    m = _local_matrix(rho)
+    m = as_state_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"two-qubit matrix required, got {m.shape}")
     sy = np.array([[0.0, -1j], [1j, 0.0]])

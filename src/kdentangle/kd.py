@@ -102,14 +102,6 @@ def kd_full(rho: DensityOperator, basis_a, basis_b, basis_y) -> KDDistribution:
     return KDDistribution(values, cols, y, FORM_FULL, dims)
 
 
-def marginalize_over_b(dist: KDDistribution) -> np.ndarray:
-    """Sum a full-form table over the B index of the first basis."""
-    if dist.form != FORM_FULL:
-        raise BadSpec("marginalization requires the full-form table")
-    da, db = dist.dims.da, dist.dims.db
-    return dist.values.reshape(da, db, -1).sum(axis=1)
-
-
 def nonreality(dist: KDDistribution) -> float:
     """l1 mass of the imaginary parts of the table."""
     return float(np.abs(dist.values.imag).sum())

@@ -1,9 +1,10 @@
 """Search over orthonormal bases and over pure-state decomposition isometries.
 
-Both searches run a seeded multistart of derivative-free simplex descent over
-an angle parametrization of the unitary group: ``n(n-1)/2`` two-index rotations
-(rotation angle plus relative phase each) followed by ``n`` diagonal phases,
-``n^2`` real parameters in total. Zero angles materialize the identity.
+One seeded multistart driver of derivative-free simplex descent serves both
+searches. It runs over an angle parametrization of the unitary group:
+``n(n-1)/2`` two-index rotations (rotation angle plus relative phase each)
+followed by ``n`` diagonal phases, ``n^2`` real parameters in total. Zero
+angles materialize the identity.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .states import BipartitePureState, DensityOperator
 RANK_TOL = 1e-12
 TERM_WEIGHT_FLOOR = 1e-12
 ROOF_CAP = 16
+SIMPLEX_SCALE = 0.3
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,6 @@ class OptimizerConfig:
     max_iters: int = 2000
     tol: float = 1e-6
     seed: int = 0
-    simplex_scale: float = 0.3
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -41,23 +42,6 @@ class SearchDiagnostics:
     best_start: str
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class BasisParams:
-    """Angle vector for a ``dim x dim`` unitary; length must be ``dim**2``."""
-
-    dim: int
-    angles: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float).reshape(-1)
-        if a.size != angle_count(self.dim):
-            raise BadParamCount(
-                f"expected {angle_count(self.dim)} angles for dim {self.dim}, "
-                f"got {a.size}"
-            )
-        object.__setattr__(self, "angles", a)
 
 
 def angle_count(dim: int) -> int:
@@ -85,44 +69,34 @@ def unitary_from_angles(angles, dim: int) -> np.ndarray:
     return u
 
 
-def materialize_basis(params: BasisParams) -> np.ndarray:
-    return unitary_from_angles(params.angles, params.dim)
-
-
-def _simplex(x0: np.ndarray, scale: float) -> np.ndarray:
-    n = x0.size
-    simplex = np.tile(x0, (n + 1, 1))
-    simplex[1:, :] += np.eye(n) * scale
-    return simplex
-
-
-def _multistart(objective, nang: int, config: OptimizerConfig, extra_starts):
+def _multistart(starts, config: OptimizerConfig):
     """Seeded multistart simplex descent.
 
-    ``extra_starts`` is a list of ``(label, x0)`` evaluated before the seeded
-    uniform restarts; the zero vector ("identity") is always included. Ties in
-    the best value break toward the lexicographically smallest angle vector.
+    ``starts`` is an ordered list of ``(label, objective, x0)``. The seeded
+    uniform restarts ``restart{i}``, drawn from ``[config.seed, i]``, follow
+    it and use the first start's objective. Each start point competes with its
+    own descent result, so the value never exceeds the objective at any start
+    point. Ties in the best value break toward the lexicographically smallest
+    angle vector. Returns ``(angles, value, diagnostics)``; the winning start
+    is ``diagnostics.best_start``.
     """
-    starts = [("identity", np.zeros(nang))]
-    starts.extend(extra_starts)
+    _, first_objective, first_x0 = starts[0]
+    starts = list(starts)
     for i in range(config.restarts):
         rng = np.random.default_rng([config.seed, i])
-        starts.append((f"restart{i}", rng.uniform(-np.pi, np.pi, nang)))
+        starts.append(
+            (f"restart{i}", first_objective, rng.uniform(-np.pi, np.pi, first_x0.size))
+        )
     best = None
     iterations = 0
     converged = False
-    for label, x0 in starts:
+    for label, objective, x0 in starts:
+        simplex = np.tile(x0, (x0.size + 1, 1))
+        simplex[1:, :] += np.eye(x0.size) * SIMPLEX_SCALE
         res = _scipy_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(
-                maxiter=config.max_iters,
-                xatol=1e-7,
-                fatol=1e-9,
-                adaptive=True,
-                initial_simplex=_simplex(x0, config.simplex_scale),
-            ),
+            objective, x0, method="Nelder-Mead",
+            options=dict(maxiter=config.max_iters, xatol=1e-7, fatol=1e-9,
+                         adaptive=True, initial_simplex=simplex),
         )
         iterations += int(res.nit)
         converged = converged or bool(res.success)
@@ -131,13 +105,7 @@ def _multistart(objective, nang: int, config: OptimizerConfig, extra_starts):
             if best is None or key < best[0]:
                 best = (key, vec, label)
     (best_val, _), best_x, best_label = best
-    diag = SearchDiagnostics(
-        restarts=config.restarts,
-        best_start=best_label,
-        iterations=iterations,
-        converged=converged,
-    )
-    return best_x, best_val, diag
+    return best_x, best_val, SearchDiagnostics(config.restarts, best_label, iterations, converged)
 
 
 def minimize_over_bases(objective, dim: int, config: OptimizerConfig | None = None,
@@ -152,56 +120,19 @@ def minimize_over_bases(objective, dim: int, config: OptimizerConfig | None = No
     start point, and is bit-reproducible for a fixed config.
     """
     config = config or OptimizerConfig()
-    nang = angle_count(dim)
     refs = {"identity": np.eye(dim, dtype=complex)}
-    extra = []
     for w_idx, w in enumerate(warm_starts):
-        label = f"warm{w_idx}"
-        refs[label] = np.asarray(w, dtype=complex)
-        extra.append((label, np.zeros(nang)))
-
-    best = None
-    iterations = 0
-    converged = False
-
-    def run(label, ref, x0):
-        nonlocal best, iterations, converged
-        wrapped = lambda a: objective(ref @ unitary_from_angles(a, dim))
-        res = _scipy_minimize(
-            wrapped,
-            x0,
-            method="Nelder-Mead",
-            options=dict(
-                maxiter=config.max_iters,
-                xatol=1e-7,
-                fatol=1e-9,
-                adaptive=True,
-                initial_simplex=_simplex(x0, config.simplex_scale),
-            ),
-        )
-        iterations += int(res.nit)
-        converged = converged or bool(res.success)
-        for val, vec in ((float(res.fun), np.asarray(res.x)), (float(wrapped(x0)), x0)):
-            key = (val, tuple(vec))
-            if best is None or key < best[0]:
-                best = (key, ref, vec, label)
-
-    run("identity", refs["identity"], np.zeros(nang))
-    for label, x0 in extra:
-        run(label, refs[label], x0)
-    for i in range(config.restarts):
-        rng = np.random.default_rng([config.seed, i])
-        run(f"restart{i}", refs["identity"], rng.uniform(-np.pi, np.pi, nang))
-
-    (best_val, _), best_ref, best_x, best_label = best
-    basis = best_ref @ unitary_from_angles(best_x, dim)
-    diag = SearchDiagnostics(
-        restarts=config.restarts,
-        best_start=best_label,
-        iterations=iterations,
-        converged=converged,
-    )
-    return basis, best_val, diag
+        refs[f"warm{w_idx}"] = np.asarray(w, dtype=complex)
+    starts = [
+        (label,
+         lambda a, ref=ref: objective(ref @ unitary_from_angles(a, dim)),
+         np.zeros(angle_count(dim)))
+        for label, ref in refs.items()
+    ]
+    best_x, best_val, diag = _multistart(starts, config)
+    # the seeded restarts search relative to the identity
+    ref = refs.get(diag.best_start, refs["identity"])
+    return ref @ unitary_from_angles(best_x, dim), best_val, diag
 
 
 @dataclass(frozen=True)
@@ -232,10 +163,10 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
     of that size. Zero angles reproduce the eigendecomposition, so the result
     never exceeds its average.
 
-    The default size is ``min(2 * rank, 16)``: the simplex search runs over
-    ``terms**2`` angles, which stops converging within the iteration budget
-    well before the ``rank**2`` purification bound is reached, so larger
-    decompositions must be requested explicitly.
+    The default size is ``min(2 * rank, ROOF_CAP)``: the simplex search runs
+    over ``terms**2`` angles, which stops converging within the iteration
+    budget well before the ``rank**2`` purification bound is reached, so larger
+    decompositions must be requested explicitly, up to ``ROOF_CAP``.
     """
     config = config or OptimizerConfig()
     q, evecs = np.linalg.eigh(rho.matrix)
@@ -245,6 +176,8 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
     k_terms = int(terms) if terms is not None else min(2 * rank, ROOF_CAP)
     if k_terms < rank:
         raise BadSpec(f"terms {k_terms} below state rank {rank}")
+    if k_terms > ROOF_CAP:
+        raise BadSpec(f"terms {k_terms} above the cap {ROOF_CAP}")
     weighted = evecs * np.sqrt(q)[None, :]
 
     def objective(angles):
@@ -258,7 +191,9 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
             total += p * pure_functional(col / np.sqrt(p))
         return total
 
-    best_x, best_val, diag = _multistart(objective, angle_count(k_terms), config, [])
+    best_x, best_val, diag = _multistart(
+        [("identity", objective, np.zeros(angle_count(k_terms)))], config
+    )
 
     psi = _decomposition(best_x, weighted, k_terms, rank)
     probs, pure_states = [], []

@@ -114,6 +114,15 @@ class SchmidtDecomposition:
     rank: int
 
 
+def as_state_matrix(state) -> np.ndarray:
+    """Density matrix of a pure or mixed state, or a plain 2-D array as given."""
+    if isinstance(state, DensityOperator):
+        return state.matrix
+    if isinstance(state, BipartitePureState):
+        return state.outer()
+    return linalg.as_matrix(state)
+
+
 def require_basis(v, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
     """Validate that the columns of ``v`` form an orthonormal basis."""
     m = linalg.as_matrix(v)
@@ -142,14 +151,6 @@ def schmidt(state: BipartitePureState, cutoff: float = SCHMIDT_CUTOFF) -> Schmid
     if abs(lam_sum - 1.0) > 1e-10:
         raise BadSpec(f"squared Schmidt coefficients sum to {lam_sum!r}, not 1")
     return SchmidtDecomposition(s, u, np.conj(v), rank)
-
-
-def assemble_from_schmidt(sd: SchmidtDecomposition, dims: BipartiteDims) -> np.ndarray:
-    """Rebuild the amplitude vector from a Schmidt decomposition."""
-    amps = np.zeros(dims.total, dtype=complex)
-    for j, c in enumerate(sd.coefficients):
-        amps += c * np.kron(sd.basis_a[:, j], sd.basis_b[:, j])
-    return amps
 
 
 def apply_local_unitary(state, u_a, u_b):
@@ -232,16 +233,18 @@ def random_product_pure(dims: BipartiteDims, seed=0) -> BipartitePureState:
 
 
 def random_entangled_pure(dims: BipartiteDims, min_coeff: float = 0.1, seed=0) -> BipartitePureState:
-    """Random pure state whose smallest Schmidt coefficient is >= ``min_coeff``."""
+    """Random pure state whose smallest Schmidt coefficient is >= ``min_coeff``.
+
+    The squared coefficients are ``min_coeff**2`` each plus a uniformly random
+    share of the remaining weight ``1 - d * min_coeff**2``; at the feasibility
+    limit ``min_coeff = 1/sqrt(d)`` they are all equal.
+    """
     rng = _as_rng(seed)
     d = min(dims.da, dims.db)
     if min_coeff * np.sqrt(d) > 1.0:
         raise BadSpec(f"min_coeff {min_coeff} infeasible for Schmidt rank {d}")
-    while True:
-        c = rng.uniform(min_coeff, 1.0, d)
-        c /= np.linalg.norm(c)
-        if c.min() >= min_coeff:
-            break
+    floor = max(min_coeff, 0.0) ** 2
+    c = np.sqrt(floor + (1.0 - d * floor) * rng.dirichlet(np.ones(d)))
     u_a = haar_unitary(dims.da, rng)
     u_b = haar_unitary(dims.db, rng)
     amps = np.zeros(dims.total, dtype=complex)

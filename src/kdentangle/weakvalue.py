@@ -17,7 +17,7 @@ from . import linalg
 from .errors import BadSpec
 from .kd import born_probabilities, optimal_second_basis
 from .optimize import OptimizerConfig, minimize_over_bases
-from .states import BipartitePureState, DensityOperator, require_basis
+from .states import BipartitePureState, DensityOperator, as_state_matrix, require_basis
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ class WeakValueEstimate:
             raise BadSpec("shots_used must be positive")
 
 
-def _state_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    if isinstance(rho, BipartitePureState):
-        return rho.outer()
-    return linalg.as_matrix(rho)
-
-
 def _clipped_probs(rho_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     p = np.clip(born_probabilities(rho_mat, basis), 0.0, None)
     return p / p.sum()
@@ -78,7 +70,7 @@ def sample_born(rho, basis, shots: int, seed: int,
     """
     if shots < 1:
         raise BadSpec(f"shots must be >= 1, got {shots}")
-    mat = _state_matrix(rho)
+    mat = as_state_matrix(rho)
     b = require_basis(basis, mat.shape[0])
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, _clipped_probs(mat, b))
@@ -134,7 +126,7 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     """
     if shots < 2:
         raise BadSpec(f"shots must be >= 2, got {shots}")
-    mat = _state_matrix(rho)
+    mat = as_state_matrix(rho)
     if isinstance(rho, (DensityOperator, BipartitePureState)):
         dims = rho.dims
         a = require_basis(basis_a, dims.da)

@@ -1,0 +1,47 @@
+"""The benchmark's tracer patches package names from outside the package; a
+rename of any of them must fail here rather than silently empty a traced run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import kdentangle as ke
+from kdentangle import entanglement
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+)
+tracer_module = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer_module)
+
+
+def solve():
+    rho = ke.haar_pure(ke.BipartiteDims(2, 3), 3).density()
+    value, basis, diag = entanglement.minimized_nonreality(
+        rho, ke.OptimizerConfig(restarts=1, max_iters=100)
+    )
+    roof = entanglement.mixed_entanglement(
+        ke.werner_state(0.6), ke.OptimizerConfig(restarts=1, max_iters=200), terms=4
+    )
+    return (value, basis, diag,
+            roof.value, roof.probabilities, [s.amplitudes for s in roof.pure_states],
+            roof.diagnostics)
+
+
+def test_traced_searches_match_untraced():
+    plain = solve()
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        traced = solve()
+    value, basis, diag, roof_value, probs, states, roof_diag = traced
+    assert value == plain[0] and diag == plain[2]
+    assert np.array_equal(basis, plain[1])
+    assert roof_value == plain[3] and roof_diag == plain[6]
+    assert np.array_equal(probs, plain[4])
+    assert all(np.array_equal(a, b) for a, b in zip(states, plain[5], strict=True))
+    # identity, warm0, restart0 for the basis search; identity, restart0 for the roof
+    assert tracer.calls["optimize.nelder_mead"] == 5
+    assert tracer.calls["optimize.objective"] > 0
+    assert tracer.calls["optimize.unitary_from_angles"] > 0
+    assert 2 <= tracer.counts["optimize.starts_at_best"] <= 5

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 import kdentangle as ke
+from kdentangle import cli
 
 RUN = [sys.executable, "-m", "kdentangle"]
 
@@ -89,6 +90,11 @@ def test_mixed_werner_half():
     report = json.loads(res.stdout)
     assert abs(report["normalized"] - 0.25) <= 2e-3
     assert abs(sum(report["probabilities"]) - 1.0) < 1e-9
+
+
+def test_mixed_rejects_terms_above_cap(capsys):
+    assert cli.main(["mixed", "--builtin", "werner:0.5", "--terms", "100"]) == 2
+    assert "terms 100 above the cap" in capsys.readouterr().err
 
 
 def test_bounds_maximally_mixed():

@@ -3,12 +3,11 @@ import pytest
 
 import kdentangle as ke
 from kdentangle.errors import BadParamCount, BadSpec
-from kdentangle.optimize import angle_count
+from kdentangle.optimize import ROOF_CAP, angle_count
 
 
 def test_materialize_identity():
-    params = ke.BasisParams(3, np.zeros(9))
-    assert np.abs(ke.materialize_basis(params) - np.eye(3)).max() < 1e-14
+    assert np.abs(ke.unitary_from_angles(np.zeros(9), 3) - np.eye(3)).max() < 1e-14
 
 
 def test_materialize_single_rotation():
@@ -29,7 +28,7 @@ def test_materialize_random_unitary():
 
 def test_param_count_validation():
     with pytest.raises(BadParamCount):
-        ke.BasisParams(3, np.zeros(8))
+        ke.unitary_from_angles(np.zeros(8), 3)
     with pytest.raises(BadParamCount):
         ke.unitary_from_angles(np.zeros(5), 2)
 
@@ -143,6 +142,11 @@ def test_convex_roof_validates_terms():
         ke.minimize_convex_roof(
             rho, marginal_entropy(rho.dims),
             ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=2,
+        )
+    with pytest.raises(BadSpec):
+        ke.minimize_convex_roof(
+            rho, marginal_entropy(rho.dims),
+            ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=ROOF_CAP + 1,
         )
 
 

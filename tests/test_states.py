@@ -56,7 +56,8 @@ def test_schmidt_roundtrip_random():
         for _ in range(100):
             state = ke.haar_pure(dims, rng)
             sd = ke.schmidt(state)
-            rebuilt = ke.assemble_from_schmidt(sd, dims)
+            rebuilt = sum(c * np.kron(sd.basis_a[:, j], sd.basis_b[:, j])
+                          for j, c in enumerate(sd.coefficients))
             assert np.abs(rebuilt - state.amplitudes).max() < 1e-9
 
 
@@ -125,6 +126,10 @@ def test_random_families():
 
     ent = ke.random_entangled_pure(dims, 0.1, 42)
     assert ke.schmidt(ent).coefficients.min() >= 0.1
+
+    # at the feasibility limit the only admissible coefficients are equal
+    flat = ke.random_entangled_pure(ke.BipartiteDims(3, 3), 1 / np.sqrt(3), 42)
+    assert np.abs(ke.schmidt(flat).coefficients - 1 / np.sqrt(3)).max() < 1e-12
 
 
 def test_state_file_roundtrip(tmp_path):
