@@ -45,8 +45,8 @@ from .kd import (
 from .linalg import (
     HermitianEigen,
     commutator_trace_norm,
+    embed_local,
     hermitian_eig,
-    kron,
     operator_norm,
     partial_trace,
     psd_sqrt,

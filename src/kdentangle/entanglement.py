@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, DomainError, NotPSD, OptimizerFailed
+from .errors import BadSpec, DimensionMismatch, DomainError, NotPSD, OptimizerFailed
 from .kd import _max_nonreality_mat
 from .optimize import ConvexRoofResult, OptimizerConfig, minimize_convex_roof, minimize_over_bases
 from .states import (
@@ -22,6 +22,9 @@ from .states import (
 )
 
 EIG_FLOOR = -1e-10
+# Largest local dimension the asymmetry bound enumerates: one evaluation stacks
+# 2**(d-1) - 1 sign patterns, 511 at the cap (~29 MB per stack at N = 60).
+PATTERN_CAP = 10
 
 
 def _entropy_from_eigenvalues(lam: np.ndarray) -> float:
@@ -108,15 +111,10 @@ def measurement_disturbance(state: BipartitePureState, basis_a) -> float:
     dims = state.dims
     a = require_basis(basis_a, dims.da)
     psi_outer = state.outer()
-    eye = np.eye(dims.total)
-    eye_b = np.eye(dims.db)
-    total = 0.0
-    for x in range(dims.da):
-        proj = np.kron(linalg.projector(a[:, x]), eye_b)
-        q = eye - proj
-        after = proj @ psi_outer @ proj + q @ psi_outer @ q
-        total += linalg.hermitian_trace_norm(psi_outer - after) / 2.0
-    return total
+    projs = linalg.embed_local(linalg.projectors(a), dims.as_tuple())
+    q = np.eye(dims.total) - projs
+    after = projs @ psi_outer @ projs + q @ psi_outer @ q
+    return float(linalg.hermitian_trace_norm(psi_outer - after).sum()) / 2.0
 
 
 def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
@@ -126,41 +124,42 @@ def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
     dims = state.dims
     a = require_basis(basis_a, dims.da)
     rho_a = state.density().marginal("A")
-    eye = np.eye(dims.da)
-    total = 0.0
-    for x in range(dims.da):
-        proj = linalg.projector(a[:, x])
-        q = eye - proj
-        after = proj @ rho_a @ proj + q @ rho_a @ q
-        total += linalg.hermitian_trace_norm(rho_a - after) / 2.0
-    return total
+    projs = linalg.projectors(a)
+    q = np.eye(dims.da) - projs
+    after = projs @ rho_a @ projs + q @ rho_a @ q
+    return float(linalg.hermitian_trace_norm(rho_a - after).sum()) / 2.0
 
 
 # ---------------------------------------------------------------------------
 # trace-norm asymmetry lower bound
 # ---------------------------------------------------------------------------
 
-def _sign_patterns(d: int):
+def _sign_patterns(d: int) -> np.ndarray:
     """Vertices of the eigenvalue hypercube with the first sign fixed and the
-    trivial all-equal vertex dropped (its commutator vanishes)."""
-    for tail in itertools.product((1.0, -1.0), repeat=d - 1):
-        if all(s == 1.0 for s in tail):
-            continue
-        yield np.array((1.0,) + tail)
+    trivial all-equal vertex dropped (its commutator vanishes), one per row."""
+    tails = list(itertools.product((1.0, -1.0), repeat=d - 1))[1:]
+    return np.array([(1.0,) + tail for tail in tails])
+
+
+def _pattern_dim(dims: BipartiteDims, side: str) -> int:
+    """Dimension of the searched side; ``BadSpec`` above ``PATTERN_CAP``."""
+    d = dims.da if side == "A" else dims.db
+    if d > PATTERN_CAP:
+        raise BadSpec(
+            f"side {side} dimension {d} above the sign-pattern cap {PATTERN_CAP} "
+            f"({2 ** (d - 1) - 1} patterns per evaluation)"
+        )
+    return d
 
 
 def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray, side: str) -> float:
     """Exact supremum over unit-operator-norm Hermitian generators with the
     given eigenbasis: the objective is convex on the eigenvalue hypercube, so
-    the supremum sits at a sign-pattern vertex."""
-    da, db = dims
-    best = 0.0
-    d = basis.shape[0]
-    for signs in _sign_patterns(d):
-        x_op = (basis * signs) @ linalg.dagger(basis)
-        full = np.kron(x_op, np.eye(db)) if side == "A" else np.kron(np.eye(da), x_op)
-        best = max(best, linalg.commutator_trace_norm(full, rho_mat) / 2.0)
-    return best
+    the supremum sits at a sign-pattern vertex. Every vertex is evaluated in
+    one stack."""
+    x_ops = (basis * _sign_patterns(basis.shape[0])[:, None, :]) @ linalg.dagger(basis)
+    full = linalg.embed_local(x_ops, dims, side)
+    return float(linalg.commutator_trace_norm(full, rho_mat).max()) / 2.0
 
 
 def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
@@ -175,7 +174,7 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
         raise ValueError("side must be 'A' or 'B'")
     config = config or OptimizerConfig(restarts=8, max_iters=600)
     dims = rho.dims.as_tuple()
-    d = dims[0] if side == "A" else dims[1]
+    d = _pattern_dim(rho.dims, side)
     objective = lambda basis: _pattern_sup(rho.matrix, dims, basis, side)
     warm = linalg.hermitian_eig(rho.marginal(side)).eigenvectors
     basis, value, diag = minimize_over_bases(objective, d, config, warm_starts=[warm])
@@ -201,6 +200,8 @@ class BoundsReport:
 def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -> BoundsReport:
     """Both-sided lower (extremal asymmetry) and upper (marginal nonreality
     entropy) bounds; the tighter pair is the max/min across the two sides."""
+    for side in ("A", "B"):
+        _pattern_dim(rho.dims, side)
     lower, _, _ = asymmetry_lower_bound(rho, "A", config)
     lower_b, _, _ = asymmetry_lower_bound(rho, "B", config)
     upper = nonreality_entropy(rho.marginal("A"))
@@ -237,18 +238,10 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = 
         raise ValueError("side must be 'A' or 'B'")
     config = config or OptimizerConfig(restarts=4, max_iters=400)
     dims = rho.dims.as_tuple()
-    if side == "B":
-        da, db = dims
-        perm = np.arange(da * db).reshape(da, db).T.reshape(-1)
-        mat = rho.matrix[np.ix_(perm, perm)]
-        dims = (db, da)
-    else:
-        mat = rho.matrix
-    objective = lambda basis: _max_nonreality_mat(mat, dims, basis)
-    warm = linalg.hermitian_eig(
-        linalg.partial_trace(mat, dims, keep="A")
-    ).eigenvectors
-    basis, value, diag = minimize_over_bases(objective, dims[0], config, warm_starts=[warm])
+    d = dims[0] if side == "A" else dims[1]
+    objective = lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side)
+    warm = linalg.hermitian_eig(rho.marginal(side)).eigenvectors
+    basis, value, diag = minimize_over_bases(objective, d, config, warm_starts=[warm])
     return value, basis, diag
 
 

@@ -64,26 +64,11 @@ def kd_marginal(rho: DensityOperator, basis_a, basis_y) -> KDDistribution:
     dims = rho.dims
     a = require_basis(basis_a, dims.da)
     y = require_basis(basis_y, dims.total)
-    eye_b = np.eye(dims.db)
-    rho_y = rho.matrix @ y
-    values = np.empty((dims.da, dims.total), dtype=complex)
-    p_first = np.empty(dims.da)
-    for x in range(dims.da):
-        proj = np.kron(linalg.projector(a[:, x]), eye_b)
-        values[x, :] = np.einsum("iy,ij,jy->y", np.conj(y), proj, rho_y)
-        p_first[x] = np.trace(proj @ rho.matrix).real
+    projs = linalg.embed_local(linalg.projectors(a), dims.as_tuple())
+    values = np.einsum("iy,xij,jy->xy", np.conj(y), projs, rho.matrix @ y)
+    p_first = np.trace(projs @ rho.matrix, axis1=1, axis2=2).real
     _check_table(values, p_first, born_probabilities(rho.matrix, y))
     return KDDistribution(values, a, y, FORM_MARGINAL, dims)
-
-
-def _product_columns(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
-    """Product-basis columns ordered by ``x = x_a * db + x_b``."""
-    da, db = basis_a.shape[0], basis_b.shape[0]
-    cols = np.empty((da * db, da * db), dtype=complex)
-    for xa in range(da):
-        for xb in range(db):
-            cols[:, xa * db + xb] = np.kron(basis_a[:, xa], basis_b[:, xb])
-    return cols
 
 
 def kd_full(rho: DensityOperator, basis_a, basis_b, basis_y) -> KDDistribution:
@@ -93,7 +78,7 @@ def kd_full(rho: DensityOperator, basis_a, basis_b, basis_y) -> KDDistribution:
     a = require_basis(basis_a, dims.da)
     b = require_basis(basis_b, dims.db)
     y = require_basis(basis_y, dims.total)
-    cols = _product_columns(a, b)
+    cols = np.kron(a, b)                             # column x = x_a * db + x_b
     ovl = linalg.dagger(y) @ cols                    # ovl[y, x] = <y|x>
     xr = linalg.dagger(cols) @ rho.matrix @ y        # xr[x, y] = <x| rho |y>
     values = ovl.T * xr
@@ -120,19 +105,16 @@ def max_nonreality(rho: DensityOperator, basis_a) -> float:
     return _max_nonreality_mat(rho.matrix, dims.as_tuple(), a)
 
 
-def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray) -> float:
-    da, db = dims
-    eye_b = np.eye(db)
-    total = 0.0
-    for x in range(da):
-        proj = np.kron(linalg.projector(basis_a[:, x]), eye_b)
-        total += linalg.commutator_trace_norm(proj, rho_mat) / 2.0
-    return total
+def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
+                        side: str = "A") -> float:
+    projs = linalg.embed_local(linalg.projectors(basis_a), dims, side)
+    return float(linalg.commutator_trace_norm(projs, rho_mat).sum()) / 2.0
 
 
 def optimal_second_basis(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """Second basis attaining the per-projector nonreality supremum: the
-    eigenbasis of the Hermitian matrix ``i [proj, rho]``."""
+    eigenbasis of the Hermitian matrix ``i [proj, rho]``. A stack of
+    projectors gives one basis per projector."""
     h = 1j * (proj @ rho_mat - rho_mat @ proj)
     _, vecs = np.linalg.eigh(h)
     return vecs
@@ -145,10 +127,7 @@ def kd_coherence(rho_local, basis) -> float:
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"density must be square, got {m.shape}")
     b = require_basis(basis, m.shape[0])
-    total = 0.0
-    for x in range(m.shape[0]):
-        total += linalg.commutator_trace_norm(linalg.projector(b[:, x]), m) / 2.0
-    return total
+    return float(linalg.commutator_trace_norm(linalg.projectors(b), m).sum()) / 2.0
 
 
 def reconstruct_state(dist: KDDistribution, cutoff: float = RECONSTRUCT_CUTOFF) -> np.ndarray:

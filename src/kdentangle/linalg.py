@@ -143,16 +143,22 @@ def operator_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def hermitian_trace_norm(h) -> float:
-    """Trace norm of a Hermitian matrix via its eigenvalues (fast path)."""
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+def hermitian_trace_norm(h):
+    """Trace norm of a Hermitian matrix via its eigenvalues (fast path).
+
+    A stack ``(k, n, n)`` gives the ``k`` trace norms from one stacked
+    ``eigvalsh``; a single matrix gives a float.
+    """
+    norms = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def commutator_trace_norm(x, rho) -> float:
+def commutator_trace_norm(x, rho):
     """``||[x, rho]||_1`` for Hermitian ``x`` and ``rho``.
 
     The commutator of two Hermitian matrices is skew-Hermitian, so ``i[x, rho]``
     is Hermitian and the trace norm reduces to a sum of real eigenvalue moduli.
+    A stack of ``x`` gives one norm per operator, as ``hermitian_trace_norm``.
     """
     c = x @ rho - rho @ x
     return hermitian_trace_norm(1j * c)
@@ -171,9 +177,31 @@ def psd_sqrt(a, clip: float = PSD_CLIP) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor acting on the leading subsystem."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def embed_local(ops, dims, side: str = "A") -> np.ndarray:
+    """Full operators ``X_k (x) I_B`` (``side="A"``) or ``I_A (x) X_k``
+    (``side="B"``) for a stack ``ops`` of local operators ``(k, d, d)``.
+
+    ``dims`` is ``(da, db)`` with the composite index ``i = i_a * db + i_b``;
+    the result has shape ``(k, da*db, da*db)``. Entries are the same products
+    ``np.kron`` forms, taken by broadcasting over the whole stack.
+    """
+    da, db = int(dims[0]), int(dims[1])
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    ops = np.asarray(ops)
+    d = da if side == "A" else db
+    if ops.ndim != 3 or ops.shape[1:] != (d, d):
+        raise DimensionMismatch(
+            f"operator stack shape {ops.shape} incompatible with side {side} "
+            f"of dims ({da}, {db})"
+        )
+    # out[k, a, b, a', b'] = ops[k, a, a'] * I[b, b'] or I[a, a'] * ops[k, b, b'];
+    # the operand order is np.kron's, so signed zeros come out the same
+    if side == "A":
+        out = ops[:, :, None, :, None] * np.eye(db)[:, None, :]
+    else:
+        out = np.eye(da)[:, None, :, None] * ops[:, None, :, None, :]
+    return out.reshape(ops.shape[0], da * db, da * db)
 
 
 def partial_trace(a, dims, keep: str = "A") -> np.ndarray:
@@ -196,5 +224,7 @@ def partial_trace(a, dims, keep: str = "A") -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def projector(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, np.conj(ket))
+def projectors(basis: np.ndarray) -> np.ndarray:
+    """Stack ``(d, d, d)`` of the rank-1 projectors onto the columns of ``basis``."""
+    cols = basis.T
+    return cols[:, :, None] * np.conj(cols)[:, None, :]

@@ -32,8 +32,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise BadSpec(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0:
-            raise BadSpec(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise BadSpec(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

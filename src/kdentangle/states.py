@@ -158,7 +158,7 @@ def apply_local_unitary(state, u_a, u_b):
     dims = state.dims
     u_a = require_basis(u_a, dims.da)
     u_b = require_basis(u_b, dims.db)
-    u = linalg.kron(u_a, u_b)
+    u = np.kron(u_a, u_b)
     if isinstance(state, BipartitePureState):
         return BipartitePureState(dims, u @ state.amplitudes)
     if isinstance(state, DensityOperator):

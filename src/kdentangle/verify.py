@@ -115,9 +115,8 @@ def suite_prop1(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
             dist = kd.kd_marginal(rho, basis_a, basis_y)
             excess = max(excess, kd.nonreality(dist) - analytic)
         attained = 0.0
-        for x in range(d.da):
-            proj = np.kron(linalg.projector(basis_a[:, x]), np.eye(d.db))
-            basis_y = kd.optimal_second_basis(rho.matrix, proj)
+        projs = linalg.embed_local(linalg.projectors(basis_a), d.as_tuple())
+        for x, basis_y in enumerate(kd.optimal_second_basis(rho.matrix, projs)):
             dist = kd.kd_marginal(rho, basis_a, basis_y)
             attained += float(np.abs(dist.values.imag[x]).sum())
         attain_dev = max(attain_dev, abs(attained - analytic))
@@ -282,7 +281,7 @@ def suite_weak(seed: int = 0, shots: int = 10**6,
     rho_cell = DensityOperator(d, rho_cell)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     basis_a = np.eye(2, dtype=complex)
-    basis_y = np.kron(h, np.eye(2, dtype=complex))
+    basis_y = linalg.embed_local(h[None], (2, 2))[0]
     exact = kd.kd_marginal(rho_cell, basis_a, basis_y).values.imag[0, 0]
     c_fit = 0.0
     for n in (10**3, 10**4, 10**5):

@@ -130,10 +130,10 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     if isinstance(rho, (DensityOperator, BipartitePureState)):
         dims = rho.dims
         a = require_basis(basis_a, dims.da)
-        proj = np.kron(linalg.projector(a[:, x_index]), np.eye(dims.db))
+        proj = linalg.embed_local(linalg.projectors(a)[[x_index]], dims.as_tuple())[0]
     else:
         a = require_basis(basis_a)
-        proj = linalg.projector(a[:, x_index])
+        proj = linalg.projectors(a)[x_index]
         if proj.shape != mat.shape:
             raise BadSpec("basis_a dimension must match the state for raw input")
     y = require_basis(basis_y, mat.shape[0])
@@ -156,12 +156,10 @@ def sampled_max_nonreality(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
     classically from the state, and the cell imaginary parts entering the sum
     are taken from finite two-preparation statistics only.
     """
-    da, db = dims
-    eye_b = np.eye(db)
+    projs = linalg.embed_local(linalg.projectors(basis_a), dims)
+    bases_y = optimal_second_basis(rho_mat, projs)
     total = 0.0
-    for x in range(da):
-        proj = np.kron(linalg.projector(basis_a[:, x]), eye_b)
-        basis_y = optimal_second_basis(rho_mat, proj)
+    for x, (proj, basis_y) in enumerate(zip(projs, bases_y)):
         c1, c2 = _two_prep_counts(
             rho_mat, proj, basis_y, (shots_per_cell, shots_per_cell),
             master_seed, x, sink=sink, tag=f"x{x}:optimal",

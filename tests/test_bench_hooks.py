@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import kdentangle as ke
-from kdentangle import entanglement
+from kdentangle import entanglement, weakvalue
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -24,9 +24,13 @@ def solve():
     roof = entanglement.mixed_entanglement(
         ke.werner_state(0.6), ke.OptimizerConfig(restarts=1, max_iters=200), terms=4
     )
+    lower = entanglement.asymmetry_lower_bound(
+        rho, "B", ke.OptimizerConfig(restarts=1, max_iters=100)
+    )
+    sampled = weakvalue.sampled_max_nonreality(rho.matrix, (2, 3), basis, 1000, 0)
     return (value, basis, diag,
             roof.value, roof.probabilities, [s.amplitudes for s in roof.pure_states],
-            roof.diagnostics)
+            roof.diagnostics, lower, sampled)
 
 
 def test_traced_searches_match_untraced():
@@ -34,14 +38,22 @@ def test_traced_searches_match_untraced():
     tracer = tracer_module.Tracer()
     with tracer.installed():
         traced = solve()
-    value, basis, diag, roof_value, probs, states, roof_diag = traced
+    value, basis, diag, roof_value, probs, states, roof_diag, lower, sampled = traced
     assert value == plain[0] and diag == plain[2]
     assert np.array_equal(basis, plain[1])
     assert roof_value == plain[3] and roof_diag == plain[6]
     assert np.array_equal(probs, plain[4])
     assert all(np.array_equal(a, b) for a, b in zip(states, plain[5], strict=True))
-    # identity, warm0, restart0 for the basis search; identity, restart0 for the roof
-    assert tracer.calls["optimize.nelder_mead"] == 5
+    assert lower[0] == plain[7][0] and lower[2] == plain[7][2]
+    assert np.array_equal(lower[1], plain[7][1])
+    assert sampled == plain[8]
+    # identity, warm0, restart0 for each basis search; identity, restart0 for the roof
+    assert tracer.calls["optimize.nelder_mead"] == 8
     assert tracer.calls["optimize.objective"] > 0
     assert tracer.calls["optimize.unitary_from_angles"] > 0
-    assert 2 <= tracer.counts["optimize.starts_at_best"] <= 5
+    assert 3 <= tracer.counts["optimize.starts_at_best"] <= 8
+    for name in ("kd.max_nonreality_mat", "entanglement.pattern_sup",
+                 "linalg.commutator_trace_norm"):
+        assert tracer.calls[name] > 0
+    # two preparations of 1000 shots for each of the 2 first-basis outcomes
+    assert tracer.counts["weakvalue.shots"] == 4000

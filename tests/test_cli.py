@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 import kdentangle as ke
-from kdentangle import cli
+from kdentangle import cli, entanglement
 
 RUN = [sys.executable, "-m", "kdentangle"]
 
@@ -95,6 +95,21 @@ def test_mixed_werner_half():
 def test_mixed_rejects_terms_above_cap(capsys):
     assert cli.main(["mixed", "--builtin", "werner:0.5", "--terms", "100"]) == 2
     assert "terms 100 above the cap" in capsys.readouterr().err
+
+
+def test_mixed_rejects_non_finite_tol(capsys):
+    assert cli.main(["mixed", "--builtin", "werner:0.5", "--restarts", "1",
+                     "--terms", "4", "--tol", "nan"]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_bounds_rejects_side_above_pattern_cap(monkeypatch, capsys):
+    def no_patterns(d):
+        raise AssertionError(f"sign patterns built for d={d}")
+
+    monkeypatch.setattr(entanglement, "_sign_patterns", no_patterns)
+    assert cli.main(["bounds", "--builtin", "product", "--dims", "2x32"]) == 2
+    assert "above the sign-pattern cap" in capsys.readouterr().err
 
 
 def test_bounds_maximally_mixed():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdentangle import linalg
 from kdentangle.errors import DimensionMismatch, NotHermitian, NotPSD
@@ -147,9 +149,9 @@ def test_partial_trace():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    out = linalg.partial_trace(linalg.kron(a, b), (3, 2), "A")
+    out = linalg.partial_trace(np.kron(a, b), (3, 2), "A")
     assert np.abs(out - a * np.trace(b)).max() < 1e-10
-    out = linalg.partial_trace(linalg.kron(a, b), (3, 2), "B")
+    out = linalg.partial_trace(np.kron(a, b), (3, 2), "B")
     assert np.abs(out - b * np.trace(a)).max() < 1e-10
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert abs(np.trace(linalg.partial_trace(m, (2, 3), "A")) - np.trace(m)) < 1e-10
@@ -157,8 +159,23 @@ def test_partial_trace():
         linalg.partial_trace(np.eye(5), (2, 2), "A")
 
 
-def test_kron_on_computational_ket():
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = 1.0
-    sz = np.diag([1.0, -1.0])
-    assert np.allclose(linalg.kron(sz, np.eye(2)) @ ket, ket)
+@settings(max_examples=60, deadline=None)
+@given(da=st.integers(2, 4), db=st.integers(2, 4), k=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_embed_local_matches_kron(da, db, k, seed):
+    rng = np.random.default_rng(seed)
+    for side, d in (("A", da), ("B", db)):
+        ops = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+        ops[:, 0, :] *= -0.0  # signed zeros must come out as np.kron's
+        full = linalg.embed_local(ops, (da, db), side)
+        assert full.shape == (k, da * db, da * db)
+        for op, out in zip(ops, full, strict=True):
+            ref = np.kron(op, np.eye(db)) if side == "A" else np.kron(np.eye(da), op)
+            assert out.tobytes() == ref.tobytes()
+
+
+def test_embed_local_rejects_bad_stack():
+    with pytest.raises(DimensionMismatch):
+        linalg.embed_local(np.zeros((1, 3, 3)), (2, 3), "A")
+    with pytest.raises(ValueError):
+        linalg.embed_local(np.zeros((1, 2, 2)), (2, 3), "C")

@@ -36,8 +36,9 @@ def test_param_count_validation():
 def test_config_validation():
     with pytest.raises(BadSpec):
         ke.OptimizerConfig(restarts=0)
-    with pytest.raises(BadSpec):
-        ke.OptimizerConfig(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadSpec):
+            ke.OptimizerConfig(tol=tol)
 
 
 def objective_for(rho):
