@@ -244,7 +244,7 @@ def cmd_mixed(args) -> int:
             "seed": args.seed,
             "tol": args.tol,
             "restarts": config.restarts,
-            "terms": args.terms,
+            "terms": roof.terms,
             "wall_time_s": time.time() - t0,
         },
         args.out,

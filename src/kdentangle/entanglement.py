@@ -22,20 +22,21 @@ from .states import (
 )
 
 EIG_FLOOR = -1e-10
+SNAP = 1e-15
 # Largest local dimension the asymmetry bound enumerates: one evaluation stacks
 # 2**(d-1) - 1 sign patterns, 511 at the cap (~29 MB per stack at N = 60).
 PATTERN_CAP = 10
 
 
-def _entropy_from_eigenvalues(lam: np.ndarray) -> float:
-    """``sum_j sqrt(lam_j (1 - lam_j))`` with boundary snapping: the square
-    root amplifies boundary roundoff (eps -> sqrt(eps)), so eigenvalues within
-    machine noise of 0 or 1 are treated as sitting on the boundary."""
+def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """``sum_j sqrt(lam_j (1 - lam_j))`` over the last axis, with boundary
+    snapping: the square root amplifies boundary roundoff (eps -> sqrt(eps)),
+    so eigenvalues within ``SNAP`` of 0 or 1 are treated as sitting on the
+    boundary."""
     lam = np.clip(lam, 0.0, 1.0)
-    snap = 1e-15
-    lam[lam < snap] = 0.0
-    lam[lam > 1.0 - snap] = 1.0
-    return float(np.sqrt(lam * (1.0 - lam)).sum())
+    lam[lam < SNAP] = 0.0
+    lam[lam > 1.0 - SNAP] = 1.0
+    return np.sqrt(lam * (1.0 - lam)).sum(axis=-1)
 
 
 def nonreality_entropy(rho_local) -> float:
@@ -49,7 +50,7 @@ def nonreality_entropy(rho_local) -> float:
     lam = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)
     if lam[0] < EIG_FLOOR:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below {EIG_FLOOR:g}")
-    return _entropy_from_eigenvalues(lam)
+    return float(_entropy_from_eigenvalues(lam))
 
 
 def binary_entropy(x: float) -> float:
@@ -85,7 +86,7 @@ def pure_entanglement(state: BipartitePureState) -> PureEntanglementReport:
     """
     sd = schmidt(state)
     lam = np.clip(sd.coefficients**2, 0.0, 1.0)
-    value = _entropy_from_eigenvalues(lam.copy())
+    value = float(_entropy_from_eigenvalues(lam))
     d = sd.rank
     if d >= 2:
         normalized = float(value / np.sqrt(d - 1))
@@ -246,11 +247,30 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = 
 
 
 def _marginal_entropy_functional(dims: BipartiteDims):
-    da, db = dims.da, dims.db
+    """Pure-state value of a ``(k, N)`` stack of unit vectors, ``(k,)`` out.
 
-    def functional(amps: np.ndarray) -> float:
-        m = amps.reshape(da, db)
-        return _entropy_from_eigenvalues(np.linalg.eigvalsh(m @ np.conj(m).T))
+    With a 2-dimensional side, ``D = det(rho_2) = lam (1 - lam)`` for the
+    smaller marginal eigenvalue ``lam``. Cauchy-Binet gives ``D`` as the sum of
+    the squared moduli of the 2x2 minors of the amplitude matrix, so nothing
+    cancels, and ``lam = 2 D / (1 + sqrt(1 - 4 D))`` is snapped to 0 below
+    ``SNAP`` like an eigenvalue. Larger marginals take one stacked
+    ``eigvalsh``."""
+    da, db = dims.da, dims.db
+    j, k = np.triu_indices(max(da, db), 1)
+
+    def functional(amps: np.ndarray) -> np.ndarray:
+        m = amps.reshape(-1, da, db)
+        if db == 2:
+            m = m.transpose(0, 2, 1)
+        if m.shape[1] != 2:
+            return _entropy_from_eigenvalues(
+                np.linalg.eigvalsh(m @ np.conj(m).transpose(0, 2, 1))
+            )
+        r0, r1 = m[:, 0], m[:, 1]
+        minors = r0[:, j] * r1[:, k] - r0[:, k] * r1[:, j]
+        det = (minors.real**2 + minors.imag**2).sum(axis=-1)
+        lam = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0)))
+        return np.where(lam < SNAP, 0.0, 2.0 * np.sqrt(lam * (1.0 - lam)))
 
     return functional
 

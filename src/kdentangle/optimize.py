@@ -4,7 +4,8 @@ One seeded multistart driver of derivative-free simplex descent serves both
 searches. It runs over an angle parametrization of the unitary group:
 ``n(n-1)/2`` two-index rotations (rotation angle plus relative phase each)
 followed by ``n`` diagonal phases, ``n^2`` real parameters in total. Zero
-angles materialize the identity.
+angles materialize the identity. The convex roof searches the ``n(n-1)``
+rotation angles alone: a phase on a decomposition vector changes no term.
 """
 
 from dataclasses import dataclass
@@ -137,18 +138,25 @@ def minimize_over_bases(objective, dim: int, config: OptimizerConfig | None = No
 
 @dataclass(frozen=True)
 class ConvexRoofResult:
-    """Minimal decomposition average found, with the achieving decomposition."""
+    """Minimal decomposition average found, with the achieving decomposition
+    and the decomposition size searched."""
 
     value: float
     probabilities: np.ndarray
     pure_states: list
     diagnostics: SearchDiagnostics
+    terms: int
 
 
 def _decomposition(angles, weighted_vecs, terms: int, rank: int):
     """Decomposition vectors ``psi_tilde[:, k] = sum_j W[k, j] sqrt(q_j) e_j``
-    for the isometry given by the first ``rank`` columns of the angle unitary."""
-    w = unitary_from_angles(angles, terms)[:, :rank]
+    for the isometry given by the first ``rank`` columns of the angle unitary.
+
+    ``angles`` holds the ``terms * (terms - 1)`` rotation angles; the
+    ``terms`` diagonal phases are zero, since a phase on a decomposition
+    vector changes no term of the average."""
+    full = np.concatenate([angles, np.zeros(terms)])
+    w = unitary_from_angles(full, terms)[:, :rank]
     return weighted_vecs @ w.T
 
 
@@ -157,16 +165,18 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
                          terms: int | None = None) -> ConvexRoofResult:
     """Minimize the decomposition average of a pure-state functional.
 
-    ``pure_functional`` maps a unit-norm amplitude vector to a real number.
-    Decompositions of size ``terms`` are parametrized through isometries
-    applied to the square-root eigenvectors, which reaches every decomposition
-    of that size. Zero angles reproduce the eigendecomposition, so the result
-    never exceeds its average.
+    ``pure_functional`` maps a ``(k, N)`` stack of unit-norm amplitude vectors
+    to their ``(k,)`` real values; each evaluation makes one call with every
+    term above ``TERM_WEIGHT_FLOOR``. Decompositions of size ``terms`` are
+    parametrized through isometries applied to the square-root eigenvectors,
+    which reaches every decomposition of that size. Zero angles reproduce the
+    eigendecomposition, so the result never exceeds its average.
 
     The default size is ``min(2 * rank, ROOF_CAP)``: the simplex search runs
-    over ``terms**2`` angles, which stops converging within the iteration
-    budget well before the ``rank**2`` purification bound is reached, so larger
-    decompositions must be requested explicitly, up to ``ROOF_CAP``.
+    over the ``terms * (terms - 1)`` rotation angles, which stops converging
+    within the iteration budget well before the ``rank**2`` purification bound
+    is reached, so larger decompositions must be requested explicitly, up to
+    ``ROOF_CAP``.
     """
     config = config or OptimizerConfig()
     q, evecs = np.linalg.eigh(rho.matrix)
@@ -182,17 +192,13 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
 
     def objective(angles):
         psi = _decomposition(angles, weighted, k_terms, rank)
-        total = 0.0
-        for k in range(k_terms):
-            col = psi[:, k]
-            p = float(np.vdot(col, col).real)
-            if p < TERM_WEIGHT_FLOOR:
-                continue
-            total += p * pure_functional(col / np.sqrt(p))
-        return total
+        p = np.einsum("ik,ik->k", psi.conj(), psi).real
+        kept = p >= TERM_WEIGHT_FLOOR
+        p = p[kept]
+        return float(p @ pure_functional(psi[:, kept].T / np.sqrt(p)[:, None]))
 
     best_x, best_val, diag = _multistart(
-        [("identity", objective, np.zeros(angle_count(k_terms)))], config
+        [("identity", objective, np.zeros(k_terms * (k_terms - 1)))], config
     )
 
     psi = _decomposition(best_x, weighted, k_terms, rank)
@@ -212,4 +218,4 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
         raise OptimizerFailed(f"decomposition weights sum to {probs.sum()!r}")
     if linalg.trace_norm(reassembled - rho.matrix) > 1e-8:
         raise OptimizerFailed("decomposition does not reassemble the input state")
-    return ConvexRoofResult(best_val, probs, pure_states, diag)
+    return ConvexRoofResult(best_val, probs, pure_states, diag, k_terms)

@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -10,11 +12,15 @@ import kdentangle as ke
 from kdentangle import cli, entanglement
 
 RUN = [sys.executable, "-m", "kdentangle"]
+# the child imports the package this session imported, installed or not
+SRC = str(Path(ke.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, cwd=cwd
+        RUN + list(args), capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -90,6 +96,14 @@ def test_mixed_werner_half():
     report = json.loads(res.stdout)
     assert abs(report["normalized"] - 0.25) <= 2e-3
     assert abs(sum(report["probabilities"]) - 1.0) < 1e-9
+
+
+def test_mixed_reports_searched_terms(capsys):
+    # rank 1, so the default decomposition size is min(2 * 1, 16) = 2
+    assert cli.main(["mixed", "--builtin", "bell", "--restarts", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["terms"] == 2
+    assert abs(report["normalized"] - 1.0) < 1e-12
 
 
 def test_mixed_rejects_terms_above_cap(capsys):

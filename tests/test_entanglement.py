@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kdentangle as ke
 from kdentangle import entanglement
@@ -285,3 +287,37 @@ def test_convexity_spot_check():
         mix = ke.DensityOperator(dims, t * rho1.matrix + (1 - t) * rho2.matrix)
         v_mix = ke.mixed_entanglement(mix, cfg, terms=4).value
         assert v_mix <= t * v1 + (1 - t) * v2 + 2 * cfg.tol
+
+
+def unit_rows(z):
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), two_first=st.booleans(), k=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_roof_functional_matches_eigvalsh(d, two_first, k, seed):
+    # the closed form on a 2-dimensional side against one eigvalsh per vector
+    da, db = (2, d) if two_first else (d, 2)
+    functional = entanglement._marginal_entropy_functional(ke.BipartiteDims(da, db))
+    rng = np.random.default_rng(seed)
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = unit_rows(gauss(k, da * db))
+    ref = []
+    for amps in stack:
+        # the 2x2 marginal: the larger one has a zero eigenvalue at roundoff
+        m = amps.reshape(da, db) if two_first else amps.reshape(da, db).T
+        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0, 1)
+        ref.append(np.sqrt(lam * (1 - lam)).sum())
+    values = functional(stack)
+    assert values.shape == (k,)
+    assert np.abs(values - ref).max() <= 1e-12
+    product = np.stack([np.kron(unit_rows(gauss(da)), unit_rows(gauss(db)))
+                        for _ in range(k)])
+    assert np.array_equal(functional(product), np.zeros(k))
+    # (|a0>|u0> + |a1>|u1>)/sqrt(2) with orthonormal pairs on both sides
+    a, u = np.linalg.qr(gauss(2, 2))[0], np.linalg.qr(gauss(d, d))[0]
+    entangled = (np.outer(a[:, 0], u[:, 0]) + np.outer(a[:, 1], u[:, 1])) / np.sqrt(2)
+    if not two_first:
+        entangled = entangled.T
+    assert abs(functional(entangled.reshape(1, -1))[0] - 1.0) <= 1e-14

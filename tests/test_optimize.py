@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kdentangle as ke
+from kdentangle import entanglement, optimize
 from kdentangle.errors import BadParamCount, BadSpec
 from kdentangle.optimize import ROOF_CAP, angle_count
 
@@ -100,10 +101,11 @@ def test_seeded_determinism():
 
 
 def marginal_entropy(dims):
+    """Stacked functional: ``(k, N)`` unit vectors to ``(k,)`` values."""
     def f(amps):
-        m = amps.reshape(dims.da, dims.db)
-        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0, 1)
-        return float(np.sqrt(lam * (1 - lam)).sum())
+        m = amps.reshape(-1, dims.da, dims.db)
+        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0, 1)
+        return np.sqrt(lam * (1 - lam)).sum(axis=-1)
 
     return f
 
@@ -115,7 +117,7 @@ def test_convex_roof_rank_one():
         state.density(), marginal_entropy(dims),
         ke.OptimizerConfig(restarts=2, max_iters=150, seed=0),
     )
-    assert abs(roof.value - marginal_entropy(dims)(state.amplitudes)) < 1e-9
+    assert abs(roof.value - marginal_entropy(dims)(state.amplitudes[None])[0]) < 1e-9
 
 
 def test_convex_roof_separable_mixture():
@@ -162,3 +164,33 @@ def test_convex_roof_decomposition_consistency():
     rebuilt = sum(p * s.outer() for p, s in zip(roof.probabilities, roof.pure_states))
     assert ke.trace_norm(rebuilt - rho.matrix) < 1e-8
     assert all(abs(np.linalg.norm(s.amplitudes) - 1) < 1e-10 for s in roof.pure_states)
+
+
+def test_convex_roof_searches_rotation_angles_only(monkeypatch):
+    # the diagonal phases of the decomposition unitary only rephase the
+    # decomposition vectors, so the roof searches the 12 rotation angles of
+    # a 4-term decomposition and the objective equals the phase-shifted average
+    rho = ke.werner_state(0.6)
+    functional = entanglement._marginal_entropy_functional(rho.dims)
+    seen = []
+    real = optimize._scipy_minimize
+
+    def recording(fun, x0, **kwargs):
+        seen.append((fun, x0.size))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", recording)
+    ke.minimize_convex_roof(rho, functional,
+                            ke.OptimizerConfig(restarts=1, max_iters=20), terms=4)
+    assert [size for _, size in seen] == [4 * 3, 4 * 3]
+    objective = seen[0][0]
+    q, evecs = np.linalg.eigh(rho.matrix)
+    weighted = evecs * np.sqrt(q)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        angles = rng.uniform(-np.pi, np.pi, 4 * 3)
+        phases = rng.uniform(-np.pi, np.pi, 4)
+        psi = weighted @ ke.unitary_from_angles(np.concatenate([angles, phases]), 4).T
+        p = (np.abs(psi) ** 2).sum(axis=0)
+        shifted = p @ functional((psi / np.sqrt(p)).T)
+        assert abs(objective(angles) - shifted) <= 1e-15
