@@ -33,7 +33,6 @@ from .errors import (
 )
 from .kd import (
     KDDistribution,
-    kd_coherence,
     kd_full,
     kd_marginal,
     kd_to_csv,
@@ -47,9 +46,7 @@ from .linalg import (
     commutator_trace_norm,
     embed_local,
     hermitian_eig,
-    operator_norm,
     partial_trace,
-    psd_sqrt,
     svd,
     trace_norm,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadSpec, BasisPairSingular, DimensionMismatch
+from .errors import BadSpec, BasisPairSingular
 from .states import BipartiteDims, DensityOperator, require_basis
 
 MARGINAL_TOL = 1e-10
@@ -118,16 +118,6 @@ def optimal_second_basis(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:
     h = 1j * (proj @ rho_mat - rho_mat @ proj)
     _, vecs = np.linalg.eigh(h)
     return vecs
-
-
-def kd_coherence(rho_local, basis) -> float:
-    """Single-system coherence functional: half trace norms of the commutators
-    of the state with each basis projector, summed."""
-    m = linalg.as_matrix(rho_local)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"density must be square, got {m.shape}")
-    b = require_basis(basis, m.shape[0])
-    return float(linalg.commutator_trace_norm(linalg.projectors(b), m).sum()) / 2.0
 
 
 def reconstruct_state(dist: KDDistribution, cutoff: float = RECONSTRUCT_CUTOFF) -> np.ndarray:

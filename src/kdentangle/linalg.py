@@ -9,10 +9,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 HERMITIAN_TOL = 1e-10
-PSD_CLIP = 1e-10
 
 
 class HermitianEigen(NamedTuple):
@@ -137,12 +136,6 @@ def trace_norm(a) -> float:
     return float(singular_values(a).sum())
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (Schatten-infinity norm)."""
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
-
-
 def hermitian_trace_norm(h):
     """Trace norm of a Hermitian matrix via its eigenvalues (fast path).
 
@@ -162,19 +155,6 @@ def commutator_trace_norm(x, rho):
     """
     c = x @ rho - rho @ x
     return hermitian_trace_norm(1j * c)
-
-
-def psd_sqrt(a, clip: float = PSD_CLIP) -> np.ndarray:
-    """Matrix square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues in ``[-clip, 0)`` are treated as roundoff and clipped to zero;
-    anything below ``-clip`` raises ``NotPSD``.
-    """
-    w, v = hermitian_eig(a)
-    if w.size and w[0] < -clip:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{clip:g}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
 
 
 def embed_local(ops, dims, side: str = "A") -> np.ndarray:

@@ -1,13 +1,15 @@
 """Search over orthonormal bases and over pure-state decomposition isometries.
 
 One seeded multistart driver of derivative-free simplex descent serves both
-searches. It runs over an angle parametrization of the unitary group:
-``n(n-1)/2`` two-index rotations (rotation angle plus relative phase each)
-followed by ``n`` diagonal phases, ``n^2`` real parameters in total. Zero
-angles materialize the identity. The convex roof searches the ``n(n-1)``
-rotation angles alone: a phase on a decomposition vector changes no term.
+searches. It runs over an angle parametrization of unitaries up to column
+phases: one two-index rotation (rotation angle plus relative phase) per index
+pair, ``n(n-1)`` real parameters in total. There are no diagonal phases: a
+phase on a basis vector changes no projector, and a phase on a decomposition
+vector changes no term. The rotations are grouped into rounds of disjoint
+pairs, each round one matrix. Zero angles materialize the identity.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +48,46 @@ class SearchDiagnostics:
 
 
 def angle_count(dim: int) -> int:
-    return dim * dim
+    return dim * (dim - 1)
+
+
+@functools.cache
+def _rotation_plan(dim: int):
+    """Rounds of disjoint index pairs covering every pair once (circle method:
+    ``dim - 1`` rounds for even ``dim``, ``dim`` for odd), with the read-only
+    identity-filled ``(rounds, dim, dim)`` base and the flat indices of each
+    pair's ``c, c, -conj(s), s`` entries. Angle pairs follow the round order."""
+    n = dim + dim % 2
+    rounds = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] + [((r + k) % (n - 1), (r - k) % (n - 1))
+                                for k in range(1, n // 2)]
+        rounds.append([(min(p), max(p)) for p in pairs if max(p) < dim])
+    base = np.tile(np.eye(dim, dtype=complex), (len(rounds), 1, 1))
+    r, i, j = np.array([(k, i, j) for k, pairs in enumerate(rounds) for i, j in pairs]).T
+    flat = np.concatenate([np.ravel_multi_index(entry, base.shape)
+                           for entry in ((r, i, i), (r, j, j), (r, i, j), (r, j, i))])
+    base.setflags(write=False)
+    flat.setflags(write=False)
+    return rounds, base, flat
 
 
 def unitary_from_angles(angles, dim: int) -> np.ndarray:
-    """Materialize the angle vector as a unitary matrix."""
+    """Materialize the angle vector as a unitary matrix: the product of the
+    rounds of two-index rotations, the first round applied first."""
     a = np.asarray(angles, dtype=float).reshape(-1)
     if a.size != angle_count(dim):
         raise BadParamCount(
             f"expected {angle_count(dim)} angles for dim {dim}, got {a.size}"
         )
-    u = np.eye(dim, dtype=complex)
-    k = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            th, ph = a[2 * k], a[2 * k + 1]
-            c, s = np.cos(th), np.sin(th) * np.exp(1j * ph)
-            gi, gj = u[i, :].copy(), u[j, :].copy()
-            u[i, :] = c * gi - np.conj(s) * gj
-            u[j, :] = s * gi + c * gj
-            k += 1
-    u *= np.exp(1j * a[2 * k:])[:, None]
+    _, base, flat = _rotation_plan(dim)
+    c = np.cos(a[0::2])
+    s = np.sin(a[0::2]) * np.exp(1j * a[1::2])
+    g = base.copy()
+    g.flat[flat] = np.concatenate([c, c, -np.conj(s), s])
+    u = g[0]
+    for rotation in g[1:]:
+        u = rotation @ u
     return u
 
 
@@ -150,14 +171,8 @@ class ConvexRoofResult:
 
 def _decomposition(angles, weighted_vecs, terms: int, rank: int):
     """Decomposition vectors ``psi_tilde[:, k] = sum_j W[k, j] sqrt(q_j) e_j``
-    for the isometry given by the first ``rank`` columns of the angle unitary.
-
-    ``angles`` holds the ``terms * (terms - 1)`` rotation angles; the
-    ``terms`` diagonal phases are zero, since a phase on a decomposition
-    vector changes no term of the average."""
-    full = np.concatenate([angles, np.zeros(terms)])
-    w = unitary_from_angles(full, terms)[:, :rank]
-    return weighted_vecs @ w.T
+    for the isometry given by the first ``rank`` columns of the angle unitary."""
+    return weighted_vecs @ unitary_from_angles(angles, terms)[:, :rank].T
 
 
 def minimize_convex_roof(rho: DensityOperator, pure_functional,
@@ -167,10 +182,11 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
 
     ``pure_functional`` maps a ``(k, N)`` stack of unit-norm amplitude vectors
     to their ``(k,)`` real values; each evaluation makes one call with every
-    term above ``TERM_WEIGHT_FLOOR``. Decompositions of size ``terms`` are
-    parametrized through isometries applied to the square-root eigenvectors,
-    which reaches every decomposition of that size. Zero angles reproduce the
-    eigendecomposition, so the result never exceeds its average.
+    term of positive weight, so the value is a true decomposition average.
+    Decompositions of size ``terms`` are parametrized through isometries
+    applied to the square-root eigenvectors, which reaches every decomposition
+    of that size. Zero angles reproduce the eigendecomposition, so the result
+    never exceeds its average.
 
     The default size is ``min(2 * rank, ROOF_CAP)``: the simplex search runs
     over the ``terms * (terms - 1)`` rotation angles, which stops converging
@@ -193,12 +209,12 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
     def objective(angles):
         psi = _decomposition(angles, weighted, k_terms, rank)
         p = np.einsum("ik,ik->k", psi.conj(), psi).real
-        kept = p >= TERM_WEIGHT_FLOOR
+        kept = p > 0
         p = p[kept]
         return float(p @ pure_functional(psi[:, kept].T / np.sqrt(p)[:, None]))
 
     best_x, best_val, diag = _multistart(
-        [("identity", objective, np.zeros(k_terms * (k_terms - 1)))], config
+        [("identity", objective, np.zeros(angle_count(k_terms)))], config
     )
 
     psi = _decomposition(best_x, weighted, k_terms, rank)

@@ -173,13 +173,10 @@ def test_side_b_matches_swapped_state():
             vb = objective(mixed.matrix, (da, db), basis, "B")
             va = objective(swap_sides(mixed).matrix, (db, da), basis, "A")
             assert abs(vb - va) <= 1e-12
-        # pure states, where the search converges: on mixed states simplex
-        # ties along the phase directions, which leave every projector
-        # unchanged, are broken by roundoff
-        pure = ke.haar_pure(dims, rng).density()
-        vb, _, _ = ke.minimized_nonreality(pure, cfg, side="B")
-        va, _, _ = ke.minimized_nonreality(swap_sides(pure), cfg, side="A")
-        assert abs(vb - va) <= 1e-12
+        for rho in (mixed, ke.haar_pure(dims, rng).density()):
+            vb, _, _ = ke.minimized_nonreality(rho, cfg, side="B")
+            va, _, _ = ke.minimized_nonreality(swap_sides(rho), cfg, side="A")
+            assert abs(vb - va) <= 1e-12
 
 
 def test_wootters_concurrence():

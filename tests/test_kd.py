@@ -176,24 +176,6 @@ def test_attainment_at_commutator_eigenbasis():
     assert abs(total - ke.max_nonreality(rho, basis_a)) < 1e-6
 
 
-def test_kd_coherence():
-    assert ke.kd_coherence(np.eye(2) / 2, EYE2) < 1e-12
-    assert ke.kd_coherence(np.diag([0.7, 0.3]), EYE2) < 1e-12
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    assert abs(ke.kd_coherence(plus, EYE2) - 1.0) < 1e-12
-
-
-def test_kd_coherence_uncertainty_bound():
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        dim = int(rng.integers(2, 5))
-        rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
-        basis = ke.haar_unitary(dim, rng)
-        p = np.einsum("ix,ij,jx->x", basis.conj(), rho, basis).real
-        bound = np.sqrt(np.clip(p - p**2, 0, None)).sum()
-        assert ke.kd_coherence(rho, basis) <= bound + 1e-9
-
-
 def test_reconstruction_roundtrip():
     rng = np.random.default_rng(19)
     rho = ke.haar_pure(ke.BipartiteDims(2, 2), rng).density()

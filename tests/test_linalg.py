@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdentangle import linalg
-from kdentangle.errors import DimensionMismatch, NotHermitian, NotPSD
+from kdentangle.errors import DimensionMismatch, NotHermitian
 from kdentangle.states import bell_state, haar_unitary
 
 
@@ -119,27 +119,8 @@ def test_trace_norm_duality():
         dim = int(rng.integers(2, 7))
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b /= max(linalg.operator_norm(b), 1e-12)
+        b /= max(np.linalg.norm(b, 2), 1e-12)
         assert abs(np.trace(b @ m)) <= linalg.trace_norm(m) + 1e-9
-
-
-def test_operator_norm():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert abs(linalg.operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-12
-
-
-def test_psd_sqrt():
-    assert np.allclose(linalg.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    rng = np.random.default_rng(6)
-    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = z @ z.conj().T
-    r = linalg.psd_sqrt(m)
-    assert np.abs(r @ r - m).max() < 1e-8 * max(np.abs(m).max(), 1)
-    with pytest.raises(NotPSD):
-        linalg.psd_sqrt(np.diag([1.0, -1e-6]))
-    # roundoff-scale negatives are clipped, not rejected
-    linalg.psd_sqrt(np.diag([1.0, -5e-11]))
 
 
 def test_partial_trace():

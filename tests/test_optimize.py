@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import kdentangle as ke
-from kdentangle import entanglement, optimize
+from kdentangle import entanglement, linalg, optimize
 from kdentangle.errors import BadParamCount, BadSpec
 from kdentangle.optimize import ROOF_CAP, angle_count
 
 
 def test_materialize_identity():
-    assert np.abs(ke.unitary_from_angles(np.zeros(9), 3) - np.eye(3)).max() < 1e-14
+    assert np.abs(ke.unitary_from_angles(np.zeros(angle_count(3)), 3) - np.eye(3)).max() < 1e-14
 
 
 def test_materialize_single_rotation():
-    angles = np.zeros(4)
+    angles = np.zeros(angle_count(2))
     angles[0] = np.pi / 2
     u = ke.unitary_from_angles(angles, 2)
     assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
@@ -28,10 +28,58 @@ def test_materialize_random_unitary():
 
 
 def test_param_count_validation():
-    with pytest.raises(BadParamCount):
-        ke.unitary_from_angles(np.zeros(8), 3)
-    with pytest.raises(BadParamCount):
-        ke.unitary_from_angles(np.zeros(5), 2)
+    # the d**2 length of a parametrization with diagonal phases is rejected too
+    for size, dim in ((8, 3), (9, 3), (5, 2), (4, 2)):
+        with pytest.raises(BadParamCount):
+            ke.unitary_from_angles(np.zeros(size), dim)
+
+
+def test_rotation_plan_rounds():
+    # every index pair is rotated in exactly one round, and the pairs of a
+    # round are disjoint, so each round is one matrix
+    for dim in range(2, 9):
+        rounds, base, _ = optimize._rotation_plan(dim)
+        assert len(rounds) == (dim - 1 if dim % 2 == 0 else dim)
+        assert base.shape == (len(rounds), dim, dim)
+        pairs = [pair for pairs in rounds for pair in pairs]
+        assert sorted(pairs) == [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        for pairs in rounds:
+            used = [index for pair in pairs for index in pair]
+            assert len(used) == len(set(used))
+
+
+def test_materialize_matches_pairwise_rotations():
+    # reference: one row rotation per index pair, in the plan's order
+    rng = np.random.default_rng(62)
+    for dim in (2, 3, 4, 5):
+        angles = rng.uniform(-np.pi, np.pi, angle_count(dim))
+        rounds, _, _ = optimize._rotation_plan(dim)
+        ref = np.eye(dim, dtype=complex)
+        for k, (i, j) in enumerate(pair for pairs in rounds for pair in pairs):
+            c = np.cos(angles[2 * k])
+            s = np.sin(angles[2 * k]) * np.exp(1j * angles[2 * k + 1])
+            ref[[i, j]] = [c * ref[i] - np.conj(s) * ref[j], s * ref[i] + c * ref[j]]
+        assert np.abs(ke.unitary_from_angles(angles, dim) - ref).max() < 1e-14
+
+
+def test_angles_reach_every_projector_direction():
+    # the finite-difference Jacobian from the angles to the stacked column
+    # projectors has full rank: no angle is a direction the projectors miss
+    rng = np.random.default_rng(61)
+
+    def projector_stack(angles, dim):
+        p = linalg.projectors(ke.unitary_from_angles(angles, dim))
+        return np.concatenate([p.real.ravel(), p.imag.ravel()])
+
+    h = 1e-6
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            x = rng.uniform(-np.pi, np.pi, angle_count(dim))
+            jac = np.column_stack([
+                (projector_stack(x + h * e, dim) - projector_stack(x - h * e, dim)) / (2 * h)
+                for e in np.eye(x.size)
+            ])
+            assert np.linalg.matrix_rank(jac, tol=1e-6) == angle_count(dim)
 
 
 def test_config_validation():
@@ -167,9 +215,9 @@ def test_convex_roof_decomposition_consistency():
 
 
 def test_convex_roof_searches_rotation_angles_only(monkeypatch):
-    # the diagonal phases of the decomposition unitary only rephase the
-    # decomposition vectors, so the roof searches the 12 rotation angles of
-    # a 4-term decomposition and the objective equals the phase-shifted average
+    # a phase on a row of the decomposition unitary only rephases one
+    # decomposition vector, so the roof searches the 12 rotation angles of a
+    # 4-term decomposition and the objective equals the phase-shifted average
     rho = ke.werner_state(0.6)
     functional = entanglement._marginal_entropy_functional(rho.dims)
     seen = []
@@ -189,8 +237,8 @@ def test_convex_roof_searches_rotation_angles_only(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(100):
         angles = rng.uniform(-np.pi, np.pi, 4 * 3)
-        phases = rng.uniform(-np.pi, np.pi, 4)
-        psi = weighted @ ke.unitary_from_angles(np.concatenate([angles, phases]), 4).T
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+        psi = weighted @ (phases[:, None] * ke.unitary_from_angles(angles, 4)).T
         p = (np.abs(psi) ** 2).sum(axis=0)
         shifted = p @ functional((psi / np.sqrt(p)).T)
         assert abs(objective(angles) - shifted) <= 1e-15
