@@ -8,6 +8,7 @@ from .entanglement import (
     asymmetry_lower_bound,
     binary_entropy,
     bounds_report,
+    certified_lower,
     entropy_from_concurrence,
     marginal_disturbance,
     measurement_disturbance,
@@ -68,6 +69,7 @@ from .states import (
     bell_state,
     haar_pure,
     haar_unitary,
+    isotropic_state,
     load_state,
     make_state,
     max_entangled,

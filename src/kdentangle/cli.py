@@ -268,6 +268,7 @@ def cmd_bounds(args) -> int:
             "upper_swapped": report.upper_swapped,
             "best_lower": report.best_lower,
             "best_upper": report.best_upper,
+            "certified_lower": report.certified_lower,
             "seed": args.seed,
             "tol": args.tol,
             "restarts": config.restarts,
@@ -363,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_restarts=True):
         p.add_argument("--state", help="path to a JSON state file")
         p.add_argument("--builtin", help="builtin state spec, e.g. bell, "
-                       "max-entangled:3, werner:0.5, product, random-pure:7")
+                       "max-entangled:3, werner:0.5, isotropic:3:0.7, product, "
+                       "random-pure:7")
         p.add_argument("--dims", help="subsystem dims as AxB (builtins only)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-6)

@@ -182,12 +182,32 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     return value, basis, diag
 
 
+def certified_lower(rho: DensityOperator) -> float:
+    """Certified floor of the convex roof,
+    ``max(0, (||rho^{T_A}||_1 - 1) / sqrt(m (m - 1)))`` with
+    ``m = min(dA, dB)``, from one ``eigvalsh`` of the partial transpose.
+
+    For a pure state ``sum_j sqrt(lam_j (1 - lam_j)) >= sqrt(1 - Tr rho_A^2)``,
+    which is the concurrence over ``sqrt(2)``; the concurrence of a mixed
+    state is at least ``sqrt(2 / (m (m - 1)))`` times its negativity
+    ``||rho^{T_A}||_1 - 1`` (Chen, Albeverio & Fei, PRL 95, 040504 (2005)),
+    and both sides are convex roofs."""
+    da, db = rho.dims.as_tuple()
+    pt = rho.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, -1)
+    m = min(da, db)
+    return max(0.0, (linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1)))
+
+
 @dataclass(frozen=True)
 class BoundsReport:
+    """The asymmetry values ``lower``/``lower_swapped`` are reported but are
+    no floor of the convex roof; ``certified_lower`` is."""
+
     lower: float
     upper: float
     lower_swapped: float
     upper_swapped: float
+    certified_lower: float
 
     @property
     def best_lower(self) -> float:
@@ -200,14 +220,15 @@ class BoundsReport:
 
 def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -> BoundsReport:
     """Both-sided lower (extremal asymmetry) and upper (marginal nonreality
-    entropy) bounds; the tighter pair is the max/min across the two sides."""
+    entropy) bounds, the tighter pair being the max/min across the two sides,
+    and the certified floor of the convex roof."""
     for side in ("A", "B"):
         _pattern_dim(rho.dims, side)
     lower, _, _ = asymmetry_lower_bound(rho, "A", config)
     lower_b, _, _ = asymmetry_lower_bound(rho, "B", config)
     upper = nonreality_entropy(rho.marginal("A"))
     upper_b = nonreality_entropy(rho.marginal("B"))
-    report = BoundsReport(lower, upper, lower_b, upper_b)
+    report = BoundsReport(lower, upper, lower_b, upper_b, certified_lower(rho))
     if report.best_lower > report.best_upper + 1e-6:
         raise OptimizerFailed(
             f"lower bound {report.best_lower!r} exceeds upper bound "
@@ -247,30 +268,38 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = 
 
 
 def _marginal_entropy_functional(dims: BipartiteDims):
-    """Pure-state value of a ``(k, N)`` stack of unit vectors, ``(k,)`` out.
+    """Weighted pure-state value of a ``(k, N)`` stack of unnormalized rows,
+    ``(k,)`` out: ``|psi|^2 E(psi / |psi|)`` for each row ``psi``, exactly 0
+    for a zero row. The value is homogeneous of degree 2, so a convex-roof
+    objective is the plain sum over the rows ``sqrt(p_k) psi_k``.
 
-    With a 2-dimensional side, ``D = det(rho_2) = lam (1 - lam)`` for the
-    smaller marginal eigenvalue ``lam``. Cauchy-Binet gives ``D`` as the sum of
-    the squared moduli of the 2x2 minors of the amplitude matrix, so nothing
-    cancels, and ``lam = 2 D / (1 + sqrt(1 - 4 D))`` is snapped to 0 below
-    ``SNAP`` like an eigenvalue. Larger marginals take one stacked
-    ``eigvalsh``."""
+    With a 2-dimensional side the value is ``2 sqrt(D)``, where
+    ``D = det(rho_2)`` of the unnormalized marginal; for a unit vector
+    ``D = lam (1 - lam)`` with ``lam`` the smaller marginal eigenvalue.
+    Cauchy-Binet gives ``D`` as the sum of the squared moduli of the 2x2
+    minors of the amplitude matrix, so nothing cancels; each minor is summed
+    twice, once from each side of the antisymmetric matrix
+    ``r0 r1^T - r1 r0^T``, and halved. ``D`` is snapped to 0 below
+    ``SNAP |psi|^4``, the eigenvalue snap rescaled. Larger marginals take one
+    stacked ``eigvalsh`` of the unnormalized marginal, whose eigenvalues are
+    divided by its trace ``|psi|^2`` before snapping."""
     da, db = dims.da, dims.db
-    j, k = np.triu_indices(max(da, db), 1)
 
-    def functional(amps: np.ndarray) -> np.ndarray:
-        m = amps.reshape(-1, da, db)
+    def functional(rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=complex)
+        norm2 = np.einsum("ij,ij->i", np.conj(rows), rows).real
+        m = rows.reshape(-1, da, db)
         if db == 2:
             m = m.transpose(0, 2, 1)
         if m.shape[1] != 2:
-            return _entropy_from_eigenvalues(
-                np.linalg.eigvalsh(m @ np.conj(m).transpose(0, 2, 1))
-            )
-        r0, r1 = m[:, 0], m[:, 1]
-        minors = r0[:, j] * r1[:, k] - r0[:, k] * r1[:, j]
-        det = (minors.real**2 + minors.imag**2).sum(axis=-1)
-        lam = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0)))
-        return np.where(lam < SNAP, 0.0, 2.0 * np.sqrt(lam * (1.0 - lam)))
+            lam = np.linalg.eigvalsh(m @ np.conj(m).transpose(0, 2, 1))
+            scale = np.where(norm2 > 0, norm2, 1.0)[:, None]
+            return norm2 * _entropy_from_eigenvalues(lam / scale)
+        outer = m[:, 0, :, None] * m[:, 1, None, :]
+        minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
+        minors = minors.reshape(len(m), -1).view(float)
+        det = 0.5 * (minors * minors).sum(axis=-1)
+        return np.where(det < SNAP * norm2**2, 0.0, 2.0 * np.sqrt(det))
 
     return functional
 
@@ -284,10 +313,13 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = No
                        terms: int | None = None) -> ConvexRoofResult:
     """Convex-roof extension of the pure-state value to a mixed state.
 
-    The search result is rejected (``OptimizerFailed``) if it exceeds the
-    marginal nonreality entropy of either side beyond ``max(config.tol, 1e-6)``
-    slack; a correct decomposition average can never do that, since the
-    eigendecomposition start already sits at or below that concave envelope.
+    The roof objective sums ``_marginal_entropy_functional`` over the
+    unnormalized decomposition rows. The search result is rejected
+    (``OptimizerFailed``) if it exceeds the marginal nonreality entropy of
+    either side, or falls below ``certified_lower``, beyond
+    ``max(config.tol, 1e-6)`` slack. A correct decomposition average can do
+    neither: the eigendecomposition start already sits at or below that
+    concave envelope, and no decomposition goes below the certified floor.
 
     The extremal-asymmetry quantity is *not* enforced as a floor here: it can
     sit strictly above the convex roof (e.g. separable states with no locally
@@ -307,6 +339,12 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = No
         raise OptimizerFailed(
             f"convex-roof value {roof.value!r} exceeds the marginal-entropy "
             f"bound {upper!r} beyond slack {slack:g}"
+        )
+    floor = certified_lower(rho)
+    if roof.value < floor - slack:
+        raise OptimizerFailed(
+            f"convex-roof value {roof.value!r} is below the certified floor "
+            f"{floor!r} beyond slack {slack:g}"
         )
     return roof
 

@@ -7,6 +7,11 @@ pair, ``n(n-1)`` real parameters in total. There are no diagonal phases: a
 phase on a basis vector changes no projector, and a phase on a decomposition
 vector changes no term. The rotations are grouped into rounds of disjoint
 pairs, each round one matrix. Zero angles materialize the identity.
+
+The convex-roof objective is the plain sum of a weighted pure-state
+functional over the unnormalized decomposition rows ``sqrt(p_k) psi_k``, so it
+needs no weights, normalization or mask. A state of rank 1 has only one
+decomposition and is not searched.
 """
 
 import functools
@@ -169,24 +174,26 @@ class ConvexRoofResult:
     terms: int
 
 
-def _decomposition(angles, weighted_vecs, terms: int, rank: int):
-    """Decomposition vectors ``psi_tilde[:, k] = sum_j W[k, j] sqrt(q_j) e_j``
-    for the isometry given by the first ``rank`` columns of the angle unitary."""
-    return weighted_vecs @ unitary_from_angles(angles, terms)[:, :rank].T
-
-
-def minimize_convex_roof(rho: DensityOperator, pure_functional,
+def minimize_convex_roof(rho: DensityOperator, weighted_functional,
                          config: OptimizerConfig | None = None,
                          terms: int | None = None) -> ConvexRoofResult:
     """Minimize the decomposition average of a pure-state functional.
 
-    ``pure_functional`` maps a ``(k, N)`` stack of unit-norm amplitude vectors
-    to their ``(k,)`` real values; each evaluation makes one call with every
-    term of positive weight, so the value is a true decomposition average.
-    Decompositions of size ``terms`` are parametrized through isometries
-    applied to the square-root eigenvectors, which reaches every decomposition
-    of that size. Zero angles reproduce the eigendecomposition, so the result
-    never exceeds its average.
+    ``weighted_functional`` maps a ``(k, N)`` stack of unnormalized amplitude
+    rows ``psi`` to their ``(k,)`` real values ``|psi|^2 E(psi / |psi|)``,
+    with exactly 0 for a zero row. Written with the rows
+    ``sqrt(p_k) psi_k``, the decomposition average ``sum_k p_k E(psi_k)`` is
+    then the plain sum of one call's values, with no weights and no
+    normalization. Decompositions of size ``terms`` are the rows of
+    ``W @ rows``, where ``W`` is the first ``rank`` columns of an angle
+    unitary and ``rows`` are the eigenvectors scaled by the square roots of
+    their eigenvalues; this reaches every decomposition of that size. Zero
+    angles reproduce the eigendecomposition, so the result never exceeds its
+    average.
+
+    A state of rank 1 has no other decomposition, so it is not searched: the
+    value is the objective at zero angles, with 0 iterations, ``best_start``
+    ``identity`` and ``converged`` true.
 
     The default size is ``min(2 * rank, ROOF_CAP)``: the simplex search runs
     over the ``terms * (terms - 1)`` rotation angles, which stops converging
@@ -204,34 +211,27 @@ def minimize_convex_roof(rho: DensityOperator, pure_functional,
         raise BadSpec(f"terms {k_terms} below state rank {rank}")
     if k_terms > ROOF_CAP:
         raise BadSpec(f"terms {k_terms} above the cap {ROOF_CAP}")
-    weighted = evecs * np.sqrt(q)[None, :]
+    rows = (evecs * np.sqrt(q)).T
 
     def objective(angles):
-        psi = _decomposition(angles, weighted, k_terms, rank)
-        p = np.einsum("ik,ik->k", psi.conj(), psi).real
-        kept = p > 0
-        p = p[kept]
-        return float(p @ pure_functional(psi[:, kept].T / np.sqrt(p)[:, None]))
+        return float(weighted_functional(
+            unitary_from_angles(angles, k_terms)[:, :rank] @ rows).sum())
 
-    best_x, best_val, diag = _multistart(
-        [("identity", objective, np.zeros(angle_count(k_terms)))], config
-    )
+    x0 = np.zeros(angle_count(k_terms))
+    if rank == 1:
+        best_x, best_val = x0, objective(x0)
+        diag = SearchDiagnostics(config.restarts, "identity", 0, True)
+    else:
+        best_x, best_val, diag = _multistart([("identity", objective, x0)], config)
 
-    psi = _decomposition(best_x, weighted, k_terms, rank)
-    probs, pure_states = [], []
-    dims = rho.dims
-    reassembled = np.zeros_like(rho.matrix)
-    for k in range(k_terms):
-        col = psi[:, k]
-        p = float(np.vdot(col, col).real)
-        reassembled = reassembled + np.outer(col, np.conj(col))
-        if p < TERM_WEIGHT_FLOOR:
-            continue
-        probs.append(p)
-        pure_states.append(BipartitePureState(dims, col / np.linalg.norm(col)))
-    probs = np.asarray(probs)
+    psi = unitary_from_angles(best_x, k_terms)[:, :rank] @ rows
+    p = (psi.real**2 + psi.imag**2).sum(axis=1)
+    kept = p >= TERM_WEIGHT_FLOOR
+    probs = p[kept]
+    pure_states = [BipartitePureState(rho.dims, row / np.linalg.norm(row))
+                   for row in psi[kept]]
     if abs(probs.sum() - 1.0) > 1e-9:
         raise OptimizerFailed(f"decomposition weights sum to {probs.sum()!r}")
-    if linalg.trace_norm(reassembled - rho.matrix) > 1e-8:
+    if linalg.trace_norm(psi.T @ psi.conj() - rho.matrix) > 1e-8:
         raise OptimizerFailed("decomposition does not reassemble the input state")
     return ConvexRoofResult(best_val, probs, pure_states, diag, k_terms)

@@ -197,6 +197,19 @@ def werner_state(p: float) -> DensityOperator:
     return DensityOperator(BipartiteDims(2, 2), p * phi + (1.0 - p) * np.eye(4) / 4.0)
 
 
+def isotropic_state(d: int, fidelity: float) -> DensityOperator:
+    """``F |Phi_d><Phi_d| + (1 - F) (I - |Phi_d><Phi_d|) / (d^2 - 1)`` on
+    (d, d) for ``F in [0, 1]``, with ``Phi_d`` the maximally entangled state;
+    invariant under every ``U (x) conj(U)``. At ``d = 2`` it is
+    ``werner_state(p)`` with ``F = (1 + 3 p) / 4``."""
+    if not 0.0 <= fidelity <= 1.0:
+        raise BadSpec(f"isotropic fidelity {fidelity!r} outside [0, 1]")
+    phi = max_entangled(d)
+    n = phi.dims.total
+    rest = np.eye(n) - phi.outer()
+    return DensityOperator(phi.dims, fidelity * phi.outer() + (1.0 - fidelity) * rest / (n - 1))
+
+
 def product_state(dims: BipartiteDims | None = None) -> BipartitePureState:
     dims = dims or BipartiteDims(2, 2)
     return basis_ket(dims, 0, 0)
@@ -267,8 +280,8 @@ def random_mixed(dims: BipartiteDims, rank: int, seed=0) -> DensityOperator:
 def make_state(spec: str, dims: BipartiteDims | None = None, seed: int = 0):
     """Build a state from a builtin spec string.
 
-    Recognized specs: ``bell``, ``max-entangled:d``, ``werner:p``, ``product``,
-    ``random-pure:seed``.
+    Recognized specs: ``bell``, ``max-entangled:d``, ``werner:p``,
+    ``isotropic:d:F``, ``product``, ``random-pure:seed``.
     """
     name, _, arg = spec.partition(":")
     try:
@@ -278,6 +291,9 @@ def make_state(spec: str, dims: BipartiteDims | None = None, seed: int = 0):
             return max_entangled(int(arg) if arg else (dims.da if dims else 2))
         if name == "werner":
             return werner_state(float(arg) if arg else 1.0)
+        if name == "isotropic":
+            d, _, fidelity = arg.partition(":")
+            return isotropic_state(int(d), float(fidelity))
         if name == "product":
             return product_state(dims)
         if name == "random-pure":

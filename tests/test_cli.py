@@ -99,11 +99,13 @@ def test_mixed_werner_half():
 
 
 def test_mixed_reports_searched_terms(capsys):
-    # rank 1, so the default decomposition size is min(2 * 1, 16) = 2
+    # rank 1, so the default decomposition size is min(2 * 1, 16) = 2, and
+    # the only decomposition is not searched
     assert cli.main(["mixed", "--builtin", "bell", "--restarts", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["terms"] == 2
     assert abs(report["normalized"] - 1.0) < 1e-12
+    assert report["diagnostics"]["iterations"] == 0
 
 
 def test_mixed_rejects_terms_above_cap(capsys):
@@ -132,6 +134,16 @@ def test_bounds_maximally_mixed():
     report = json.loads(res.stdout)
     assert report["lower"] <= 1e-8
     assert abs(report["upper"] - 1.0) < 1e-9
+    assert report["certified_lower"] == 0.0
+
+
+def test_isotropic_builtin(capsys):
+    assert cli.main(["bounds", "--builtin", "isotropic:2:0.7", "--restarts", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["certified_lower"] - 0.4 / np.sqrt(2)) < 1e-11
+    for spec in ("isotropic:3:1.5", "isotropic:1:0.5", "isotropic:9:0.5"):
+        assert cli.main(["bounds", "--builtin", spec]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_verify_lemma1():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import kdentangle as ke
 from kdentangle import entanglement
-from kdentangle.errors import DimensionMismatch, DomainError, NotPSD
+from kdentangle.errors import DimensionMismatch, DomainError, NotPSD, OptimizerFailed
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -286,35 +286,78 @@ def test_convexity_spot_check():
         assert v_mix <= t * v1 + (1 - t) * v2 + 2 * cfg.tol
 
 
+def test_certified_lower_werner():
+    # the floor is the concurrence (3p - 1)/2 over sqrt(2): the roof over sqrt(2)
+    for p in (0.0, 0.2, 1 / 3, 0.6, 0.8, 1.0):
+        expected = max(0.0, (3 * p - 1) / 2) / np.sqrt(2)
+        assert abs(ke.certified_lower(ke.werner_state(p)) - expected) <= 1e-12
+
+
+def test_certified_lower_below_roof_and_upper():
+    cfg = ke.OptimizerConfig(restarts=4, max_iters=600, seed=0)
+    rng = np.random.default_rng(51)
+    for da, db in ((2, 2), (2, 3), (3, 2)):
+        rho = ke.random_mixed(ke.BipartiteDims(da, db), 2, rng)
+        floor = ke.certified_lower(rho)
+        roof = ke.mixed_entanglement(rho, cfg)
+        assert floor <= roof.value + 1e-9
+        upper = min(ke.nonreality_entropy(rho.marginal(side)) for side in "AB")
+        assert floor <= upper + 1e-12
+
+
+def test_mixed_entanglement_rejects_roof_below_floor(monkeypatch):
+    # a functional that scores every term 0 puts an entangled roof below the floor
+    monkeypatch.setattr(entanglement, "_marginal_entropy_functional",
+                        lambda dims: lambda rows: np.zeros(len(rows)))
+    with pytest.raises(OptimizerFailed, match="certified floor"):
+        ke.mixed_entanglement(ke.werner_state(0.8),
+                              ke.OptimizerConfig(restarts=1, max_iters=50), terms=4)
+
+
 def unit_rows(z):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 4), two_first=st.booleans(), k=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
-def test_roof_functional_matches_eigvalsh(d, two_first, k, seed):
-    # the closed form on a 2-dimensional side against one eigvalsh per vector
-    da, db = (2, d) if two_first else (d, 2)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (3, 3)]),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_roof_functional_matches_eigvalsh(dims, k, seed):
+    # the weighted functional |psi|^2 E(psi/|psi|) on the 2-dimensional side's
+    # closed form and on the 3x3 eigvalsh path, against one eigvalsh per vector
+    da, db = dims
     functional = entanglement._marginal_entropy_functional(ke.BipartiteDims(da, db))
     rng = np.random.default_rng(seed)
     gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
     stack = unit_rows(gauss(k, da * db))
     ref = []
     for amps in stack:
-        # the 2x2 marginal: the larger one has a zero eigenvalue at roundoff
-        m = amps.reshape(da, db) if two_first else amps.reshape(da, db).T
+        # the smaller marginal: the larger one has a zero eigenvalue at roundoff
+        m = amps.reshape(da, db) if da <= db else amps.reshape(da, db).T
         lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0, 1)
         ref.append(np.sqrt(lam * (1 - lam)).sum())
     values = functional(stack)
     assert values.shape == (k,)
     assert np.abs(values - ref).max() <= 1e-12
+    # degree-2 homogeneity, with zero rows interleaved giving exactly 0
+    c = rng.lognormal(0.0, 3.0, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    rows = np.zeros((2 * k, da * db), dtype=complex)
+    rows[0::2] = c[:, None] * stack
+    scaled = functional(rows)
+    expected = np.abs(c) ** 2 * values
+    assert (np.abs(scaled[0::2] - expected) <= 1e-12 * expected).all()
+    assert np.array_equal(scaled[1::2], np.zeros(k))
     product = np.stack([np.kron(unit_rows(gauss(da)), unit_rows(gauss(db)))
                         for _ in range(k)])
-    assert np.array_equal(functional(product), np.zeros(k))
+    if 2 in dims:
+        assert np.array_equal(functional(product), np.zeros(k))
+        assert np.array_equal(functional(c[:, None] * product), np.zeros(k))
+    else:
+        # eigvalsh leaves the zero eigenvalues of a rank-one 3x3 marginal up
+        # to ~1.3e-15, above SNAP, in about 1 product in 500 (as before the
+        # weighted contract); the square root makes that ~4e-8
+        assert (functional(product) <= 1e-7).all()
+        assert (functional(c[:, None] * product) <= 1e-7 * np.abs(c) ** 2).all()
     # (|a0>|u0> + |a1>|u1>)/sqrt(2) with orthonormal pairs on both sides
-    a, u = np.linalg.qr(gauss(2, 2))[0], np.linalg.qr(gauss(d, d))[0]
+    a, u = np.linalg.qr(gauss(da, da))[0], np.linalg.qr(gauss(db, db))[0]
     entangled = (np.outer(a[:, 0], u[:, 0]) + np.outer(a[:, 1], u[:, 1])) / np.sqrt(2)
-    if not two_first:
-        entangled = entangled.T
     assert abs(functional(entangled.reshape(1, -1))[0] - 1.0) <= 1e-14

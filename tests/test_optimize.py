@@ -149,23 +149,36 @@ def test_seeded_determinism():
 
 
 def marginal_entropy(dims):
-    """Stacked functional: ``(k, N)`` unit vectors to ``(k,)`` values."""
-    def f(amps):
-        m = amps.reshape(-1, dims.da, dims.db)
-        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0, 1)
-        return np.sqrt(lam * (1 - lam)).sum(axis=-1)
+    """Weighted functional: ``(k, N)`` unnormalized rows to the ``(k,)``
+    values ``|psi|^2 E(psi / |psi|) = sum_j sqrt(lam_j (|psi|^2 - lam_j))``,
+    with ``lam_j`` the eigenvalues of the unnormalized marginal."""
+    def f(rows):
+        m = rows.reshape(-1, dims.da, dims.db)
+        norm2 = (np.abs(rows) ** 2).sum(axis=-1)[:, None]
+        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0, norm2)
+        return np.sqrt(lam * (norm2 - lam)).sum(axis=-1)
 
     return f
 
 
-def test_convex_roof_rank_one():
-    dims = ke.BipartiteDims(2, 2)
-    state = ke.haar_pure(dims, 21)
-    roof = ke.minimize_convex_roof(
-        state.density(), marginal_entropy(dims),
-        ke.OptimizerConfig(restarts=2, max_iters=150, seed=0),
-    )
-    assert abs(roof.value - marginal_entropy(dims)(state.amplitudes[None])[0]) < 1e-9
+def test_convex_roof_rank_one(monkeypatch):
+    # a rank-one state has one decomposition, itself, so no search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("rank-one roof searched")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_search)
+    cfg = ke.OptimizerConfig(restarts=5, max_iters=150, seed=0)
+    for dims, seed in ((ke.BipartiteDims(2, 2), 21), (ke.BipartiteDims(2, 3), 22)):
+        state = ke.haar_pure(dims, seed)
+        for terms in (None, 4):
+            roof = ke.minimize_convex_roof(state.density(), marginal_entropy(dims), cfg, terms)
+            assert abs(roof.value - ke.pure_entanglement(state).value) < 1e-12
+            assert roof.probabilities.shape == (1,)
+            assert abs(roof.probabilities[0] - 1.0) < 1e-12
+            overlap = np.vdot(roof.pure_states[0].amplitudes, state.amplitudes)
+            assert abs(abs(overlap) - 1.0) < 1e-12
+            assert roof.diagnostics == ke.SearchDiagnostics(5, "identity", 0, True)
+            assert roof.terms == (terms or 2)
 
 
 def test_convex_roof_separable_mixture():

@@ -93,6 +93,31 @@ def test_make_state_builtins():
         ke.make_state("werner:1.5")
 
 
+def test_isotropic_state():
+    rng = np.random.default_rng(24)
+    for d in (2, 3, 4):
+        for fidelity in (0.0, 1 / d, 0.35, 0.7, 1.0):
+            rho = ke.isotropic_state(d, fidelity)
+            assert rho.dims == ke.BipartiteDims(d, d)
+            assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-12
+            u = ke.haar_unitary(d, rng)
+            twirl = np.kron(u, u.conj())
+            assert np.abs(twirl @ rho.matrix @ twirl.conj().T - rho.matrix).max() < 1e-12
+            # the floor is the oracle max(0, (dF - 1)/sqrt(d - 1)) over sqrt(d)
+            oracle = max(0.0, (d * fidelity - 1) / np.sqrt(d - 1))
+            assert abs(ke.certified_lower(rho) - oracle / np.sqrt(d)) < 1e-12
+    for p in (0.0, 0.2, 0.6, 1.0):
+        rho = ke.isotropic_state(2, (1 + 3 * p) / 4)
+        assert np.abs(rho.matrix - ke.werner_state(p).matrix).max() < 1e-15
+    spec = ke.make_state("isotropic:3:0.7")
+    assert np.array_equal(spec.matrix, ke.isotropic_state(3, 0.7).matrix)
+    for bad in ("isotropic:3:1.5", "isotropic:3:-0.1", "isotropic:3:nan",
+                "isotropic:1:0.5", "isotropic:9:0.5", "isotropic:3", "isotropic"):
+        with pytest.raises(BadSpec):
+            ke.make_state(bad)
+
+
 def test_apply_local_unitary():
     bell = ke.bell_state()
     same = ke.apply_local_unitary(bell, np.eye(2), np.eye(2))
