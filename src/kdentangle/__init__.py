@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     KdToolError,
     NoConvergence,
-    NotHermitian,
     NotPSD,
     NotUnitary,
     OptimizerFailed,
@@ -43,10 +42,8 @@ from .kd import (
     reconstruct_state,
 )
 from .linalg import (
-    HermitianEigen,
     commutator_trace_norm,
     embed_local,
-    hermitian_eig,
     partial_trace,
     svd,
     trace_norm,

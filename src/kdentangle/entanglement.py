@@ -167,7 +167,8 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
                           config: OptimizerConfig | None = None):
     """Extremal trace-norm asymmetry of the state relative to local Hermitian
     generators: inner supremum exact by sign-pattern enumeration, outer
-    infimum over local bases by seeded multistart search.
+    infimum over local bases by seeded multistart search, warm started at the
+    marginal eigenbasis as ``np.linalg.eigh`` returns it.
 
     Returns ``(value, basis, diagnostics)``.
     """
@@ -175,10 +176,10 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
         raise ValueError("side must be 'A' or 'B'")
     config = config or OptimizerConfig(restarts=8, max_iters=600)
     dims = rho.dims.as_tuple()
-    d = _pattern_dim(rho.dims, side)
+    _pattern_dim(rho.dims, side)
     objective = lambda basis: _pattern_sup(rho.matrix, dims, basis, side)
-    warm = linalg.hermitian_eig(rho.marginal(side)).eigenvectors
-    basis, value, diag = minimize_over_bases(objective, d, config, warm_starts=[warm])
+    warm = np.linalg.eigh(rho.marginal(side))[1]
+    basis, value, diag = minimize_over_bases(objective, warm, config)
     return value, basis, diag
 
 
@@ -234,11 +235,11 @@ def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -
             f"lower bound {report.best_lower!r} exceeds upper bound "
             f"{report.best_upper!r} beyond slack"
         )
+    # for a pure state the side-A upper bound is the closed form
     if rho.purity() >= 1.0 - 1e-10:
-        closed = nonreality_entropy(rho.marginal("A"))
-        if report.best_lower > closed + 1e-6 or closed > report.best_upper + 1e-6:
+        if report.best_lower > upper + 1e-6 or upper > report.best_upper + 1e-6:
             raise OptimizerFailed(
-                f"pure-state value {closed!r} escapes bounds "
+                f"pure-state value {upper!r} escapes bounds "
                 f"[{report.best_lower!r}, {report.best_upper!r}]"
             )
     return report
@@ -251,8 +252,9 @@ def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -
 def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = None,
                          side: str = "A"):
     """Numerically minimize the analytic per-basis nonreality supremum over
-    local bases. For pure states this reproduces the closed form; the marginal
-    eigenbasis is always included as a warm start.
+    local bases. For pure states this reproduces the closed form, which the
+    warm start attains: the marginal eigenbasis as ``np.linalg.eigh`` returns
+    it (no column phase or order changes a projector).
 
     Returns ``(value, basis, diagnostics)``.
     """
@@ -260,10 +262,9 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = 
         raise ValueError("side must be 'A' or 'B'")
     config = config or OptimizerConfig(restarts=4, max_iters=400)
     dims = rho.dims.as_tuple()
-    d = dims[0] if side == "A" else dims[1]
     objective = lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side)
-    warm = linalg.hermitian_eig(rho.marginal(side)).eigenvectors
-    basis, value, diag = minimize_over_bases(objective, d, config, warm_starts=[warm])
+    warm = np.linalg.eigh(rho.marginal(side))[1]
+    basis, value, diag = minimize_over_bases(objective, warm, config)
     return value, basis, diag
 
 
@@ -280,9 +281,11 @@ def _marginal_entropy_functional(dims: BipartiteDims):
     minors of the amplitude matrix, so nothing cancels; each minor is summed
     twice, once from each side of the antisymmetric matrix
     ``r0 r1^T - r1 r0^T``, and halved. ``D`` is snapped to 0 below
-    ``SNAP |psi|^4``, the eigenvalue snap rescaled. Larger marginals take one
-    stacked ``eigvalsh`` of the unnormalized marginal, whose eigenvalues are
-    divided by its trace ``|psi|^2`` before snapping."""
+    ``SNAP |psi|^4``, the eigenvalue snap rescaled. Larger marginals take the
+    squared singular values ``w`` of the amplitude matrix from one stacked
+    SVD, zero those below ``SNAP |psi|^2`` and sum
+    ``sqrt(w_j (sum(w) - w_j))``, so a product row, left with one nonzero
+    ``w``, gives exactly 0."""
     da, db = dims.da, dims.db
 
     def functional(rows: np.ndarray) -> np.ndarray:
@@ -292,9 +295,9 @@ def _marginal_entropy_functional(dims: BipartiteDims):
         if db == 2:
             m = m.transpose(0, 2, 1)
         if m.shape[1] != 2:
-            lam = np.linalg.eigvalsh(m @ np.conj(m).transpose(0, 2, 1))
-            scale = np.where(norm2 > 0, norm2, 1.0)[:, None]
-            return norm2 * _entropy_from_eigenvalues(lam / scale)
+            w = np.linalg.svd(m, compute_uv=False) ** 2
+            w[w < SNAP * norm2[:, None]] = 0.0
+            return np.sqrt(w * (w.sum(axis=-1, keepdims=True) - w)).sum(axis=-1)
         outer = m[:, 0, :, None] * m[:, 1, None, :]
         minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
         minors = minors.reshape(len(m), -1).view(float)

@@ -9,10 +9,6 @@ class DimensionMismatch(KdToolError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
-class NotHermitian(KdToolError):
-    """Matrix fails the Hermitian symmetry tolerance."""
-
-
 class NotPSD(KdToolError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 

@@ -44,14 +44,15 @@ def born_probabilities(rho_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("iy,ij,jy->y", np.conj(basis), rho_mat, basis).real
 
 
-def _check_table(values: np.ndarray, p_first: np.ndarray, p_second: np.ndarray,
-                 tol: float = MARGINAL_TOL):
+def _check_table(values: np.ndarray, p_first: np.ndarray, p_second: np.ndarray):
     total = values.sum()
-    if abs(total.real - 1.0) > tol or abs(total.imag) > tol:
-        raise BadSpec(f"table normalization {total!r} deviates from 1 beyond {tol:g}")
+    if abs(total.real - 1.0) > MARGINAL_TOL or abs(total.imag) > MARGINAL_TOL:
+        raise BadSpec(
+            f"table normalization {total!r} deviates from 1 beyond {MARGINAL_TOL:g}"
+        )
     dev_first = np.abs(values.sum(axis=1) - p_first).max()
     dev_second = np.abs(values.sum(axis=0) - p_second).max()
-    if dev_first > tol or dev_second > tol:
+    if dev_first > MARGINAL_TOL or dev_second > MARGINAL_TOL:
         raise BadSpec(
             f"table marginals deviate from Born probabilities by "
             f"{max(dev_first, dev_second):.3e}"
@@ -120,11 +121,11 @@ def optimal_second_basis(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def reconstruct_state(dist: KDDistribution, cutoff: float = RECONSTRUCT_CUTOFF) -> np.ndarray:
+def reconstruct_state(dist: KDDistribution) -> np.ndarray:
     """Invert a full-form table back into the density matrix.
 
     Each cell divides by the overlap ``<y|x>``; a pair with overlap magnitude
-    at or below ``cutoff`` makes the inversion ill-posed and raises
+    at or below ``RECONSTRUCT_CUTOFF`` makes the inversion ill-posed and raises
     ``BasisPairSingular`` naming the offending pair.
     """
     if dist.form != FORM_FULL:
@@ -133,11 +134,11 @@ def reconstruct_state(dist: KDDistribution, cutoff: float = RECONSTRUCT_CUTOFF) 
     y_cols = dist.second_basis
     ovl = linalg.dagger(y_cols) @ x_cols  # ovl[y, x] = <y|x>
     mags = np.abs(ovl)
-    if mags.min() <= cutoff:
+    if mags.min() <= RECONSTRUCT_CUTOFF:
         y_bad, x_bad = np.unravel_index(np.argmin(mags), mags.shape)
         raise BasisPairSingular(
             f"overlap |<y={y_bad}|x={x_bad}>| = {mags[y_bad, x_bad]:.3e} "
-            f"at or below cutoff {cutoff:g}"
+            f"at or below cutoff {RECONSTRUCT_CUTOFF:g}"
         )
     weights = dist.values / ovl.T
     return x_cols @ weights @ linalg.dagger(y_cols)

@@ -5,20 +5,9 @@ dense; the package targets total dimensions well below ~64, where LAPACK's
 dense routines are both the fastest and the most robust option.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
-
-HERMITIAN_TOL = 1e-10
-
-
-class HermitianEigen(NamedTuple):
-    """Spectral decomposition with ascending eigenvalues and orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+from .errors import DimensionMismatch, NoConvergence
 
 
 def as_matrix(a) -> np.ndarray:
@@ -33,79 +22,6 @@ def as_matrix(a) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).T
-
-
-def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significantly nonzero entry is real positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-8 * max(np.abs(col).max(), 1e-300))
-        if idx.size:
-            pivot = col[idx[0]]
-            v[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return v
-
-
-def _canonical_degenerate_order(w: np.ndarray, v: np.ndarray):
-    """Reorder columns inside degenerate eigenvalue clusters deterministically.
-
-    Ties are broken by the lexicographic order of the (real, imag) parts of the
-    phase-fixed eigenvector entries, rounded to suppress last-bit noise.
-    """
-    scale = max(np.abs(w).max(), 1.0)
-    tie_tol = 1e-12 * scale
-    order = np.arange(w.size)
-    start = 0
-    while start < w.size:
-        stop = start + 1
-        while stop < w.size and w[stop] - w[start] <= tie_tol:
-            stop += 1
-        if stop - start > 1:
-            block = list(range(start, stop))
-            keys = {
-                j: tuple(
-                    np.round(
-                        np.column_stack([v[:, j].real, v[:, j].imag]).ravel(), 12
-                    )
-                )
-                for j in block
-            }
-            block.sort(key=lambda j: keys[j])
-            order[start:stop] = block
-        start = stop
-    return w[order], v[:, order]
-
-
-def hermitian_eig(a, tol: float = HERMITIAN_TOL) -> HermitianEigen:
-    """Eigen-decomposition of a Hermitian matrix.
-
-    Eigenvalues come back ascending; eigenvector columns are orthonormal,
-    phase-fixed, and deterministically ordered inside degenerate clusters.
-
-    Raises
-    ------
-    NotHermitian
-        If ``||a - a^dag||_inf > tol * ||a||_inf`` (operator norms).
-    NoConvergence
-        If the underlying factorization does not converge.
-    """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {m.shape}")
-    scale = np.linalg.norm(m, 2) if m.size else 0.0
-    if scale > 0 and np.linalg.norm(m - dagger(m), 2) > tol * scale:
-        raise NotHermitian(
-            f"symmetry violation {np.linalg.norm(m - dagger(m), 2):.3e} exceeds "
-            f"{tol:g} * ||a||"
-        )
-    try:
-        w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    v = _phase_fix_columns(v)
-    w, v = _canonical_degenerate_order(w, v)
-    return HermitianEigen(w, v)
 
 
 def svd(a):

@@ -135,31 +135,28 @@ def _multistart(starts, config: OptimizerConfig):
     return best_x, best_val, SearchDiagnostics(config.restarts, best_label, iterations, converged)
 
 
-def minimize_over_bases(objective, dim: int, config: OptimizerConfig | None = None,
-                        warm_starts=()):
-    """Minimize ``objective(basis)`` over orthonormal bases of dimension ``dim``.
+def minimize_over_bases(objective, warm, config: OptimizerConfig | None = None):
+    """Minimize ``objective(basis)`` over orthonormal bases of the dimension
+    of the unitary ``warm``.
 
-    ``warm_starts`` are unitary matrices used as additional start points; each
-    start searches angles relative to its own reference unitary, so zero angles
-    reproduce the warm start exactly. Returns ``(basis, value, diagnostics)``.
+    The starts are ``identity``, ``warm`` (angles relative to ``warm``, so
+    zero angles reproduce it exactly), then the seeded restarts relative to
+    the identity. Returns ``(basis, value, diagnostics)``.
 
-    The result never exceeds the objective at the identity basis or at any
-    start point, and is bit-reproducible for a fixed config.
+    The result never exceeds the objective at the identity basis or at
+    ``warm``, and is bit-reproducible for a fixed config and ``warm``.
     """
     config = config or OptimizerConfig()
-    refs = {"identity": np.eye(dim, dtype=complex)}
-    for w_idx, w in enumerate(warm_starts):
-        refs[f"warm{w_idx}"] = np.asarray(w, dtype=complex)
+    warm = np.asarray(warm, dtype=complex)
+    dim = warm.shape[0]
+    x0 = np.zeros(angle_count(dim))
     starts = [
-        (label,
-         lambda a, ref=ref: objective(ref @ unitary_from_angles(a, dim)),
-         np.zeros(angle_count(dim)))
-        for label, ref in refs.items()
+        ("identity", lambda a: objective(unitary_from_angles(a, dim)), x0),
+        ("warm", lambda a: objective(warm @ unitary_from_angles(a, dim)), x0),
     ]
     best_x, best_val, diag = _multistart(starts, config)
-    # the seeded restarts search relative to the identity
-    ref = refs.get(diag.best_start, refs["identity"])
-    return ref @ unitary_from_angles(best_x, dim), best_val, diag
+    u = unitary_from_angles(best_x, dim)
+    return (warm @ u if diag.best_start == "warm" else u), best_val, diag
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 standard constructors, and the JSON state-file format used by the CLI."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,7 @@ DIM_CAP = 64
 NORM_TOL = 1e-10
 FILE_TOL = 1e-8
 SCHMIDT_CUTOFF = 1e-9
+BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -21,14 +22,13 @@ class BipartiteDims:
 
     da: int
     db: int
-    cap: int = field(default=DIM_CAP, compare=False)
 
     def __post_init__(self):
         if self.da < 2 or self.db < 2:
             raise BadSpec(f"dims must both be >= 2, got ({self.da}, {self.db})")
-        if self.da * self.db > self.cap:
+        if self.da * self.db > DIM_CAP:
             raise BadSpec(
-                f"dims product {self.da * self.db} exceeds cap {self.cap}"
+                f"dims product {self.da * self.db} exceeds cap {DIM_CAP}"
             )
 
     @property
@@ -123,15 +123,16 @@ def as_state_matrix(state) -> np.ndarray:
     return linalg.as_matrix(state)
 
 
-def require_basis(v, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Validate that the columns of ``v`` form an orthonormal basis."""
+def require_basis(v, dim: int) -> np.ndarray:
+    """Validate that the columns of ``v`` form an orthonormal basis of
+    dimension ``dim``, to ``BASIS_TOL``."""
     m = linalg.as_matrix(v)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"basis matrix must be square, got {m.shape}")
-    if dim is not None and m.shape[0] != dim:
+    if m.shape[0] != dim:
         raise DimensionMismatch(f"basis dimension {m.shape[0]} != expected {dim}")
     gram = linalg.dagger(m) @ m
-    if np.abs(gram - np.eye(m.shape[0])).max() > tol:
+    if np.abs(gram - np.eye(m.shape[0])).max() > BASIS_TOL:
         raise NotUnitary(
             f"columns not orthonormal: max deviation "
             f"{np.abs(gram - np.eye(m.shape[0])).max():.3e}"
@@ -139,14 +140,14 @@ def require_basis(v, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def schmidt(state: BipartitePureState, cutoff: float = SCHMIDT_CUTOFF) -> SchmidtDecomposition:
+def schmidt(state: BipartitePureState) -> SchmidtDecomposition:
     """Schmidt decomposition via the SVD of the reshaped amplitude matrix.
 
     The returned coefficients are the descending singular values; ``rank``
-    counts coefficients strictly above ``cutoff``.
+    counts coefficients strictly above ``SCHMIDT_CUTOFF``.
     """
     u, s, v = linalg.svd(state.matrix())
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > SCHMIDT_CUTOFF))
     lam_sum = float(np.sum(s**2))
     if abs(lam_sum - 1.0) > 1e-10:
         raise BadSpec(f"squared Schmidt coefficients sum to {lam_sum!r}, not 1")

@@ -17,7 +17,7 @@ from . import linalg
 from .errors import BadSpec
 from .kd import born_probabilities, optimal_second_basis
 from .optimize import OptimizerConfig, minimize_over_bases
-from .states import BipartitePureState, DensityOperator, as_state_matrix, require_basis
+from .states import BipartitePureState, as_state_matrix, require_basis
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ def _two_prep_counts(rho_mat, proj, basis_y, shots_pair, master_seed, x_index,
 
 def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
                      shots: int, seed: int) -> WeakValueEstimate:
-    """Unbiased estimate of the imaginary part of one marginal-form table cell.
+    """Unbiased estimate of the imaginary part of one marginal-form table cell
+    of a ``DensityOperator`` or ``BipartitePureState``.
 
     Shots split evenly across the two preparations; the estimator is half the
     difference of the empirical probabilities of outcome ``y_index``, and the
@@ -127,15 +128,8 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     if shots < 2:
         raise BadSpec(f"shots must be >= 2, got {shots}")
     mat = as_state_matrix(rho)
-    if isinstance(rho, (DensityOperator, BipartitePureState)):
-        dims = rho.dims
-        a = require_basis(basis_a, dims.da)
-        proj = linalg.embed_local(linalg.projectors(a)[[x_index]], dims.as_tuple())[0]
-    else:
-        a = require_basis(basis_a)
-        proj = linalg.projectors(a)[x_index]
-        if proj.shape != mat.shape:
-            raise BadSpec("basis_a dimension must match the state for raw input")
+    a = require_basis(basis_a, rho.dims.da)
+    proj = linalg.embed_local(linalg.projectors(a)[[x_index]], rho.dims.as_tuple())[0]
     y = require_basis(basis_y, mat.shape[0])
     n1 = shots // 2
     n2 = shots - n1
@@ -174,7 +168,8 @@ def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
     """Estimate the pure-state entanglement value from sampled statistics.
 
     The outer basis search runs classically on the sampled objective, warm
-    started at the marginal eigenbasis. Returns ``(value, basis, diagnostics)``.
+    started at the marginal eigenbasis from ``np.linalg.eigh``. Returns
+    ``(value, basis, diagnostics)``.
     """
     if shots_per_cell < 1:
         raise BadSpec(f"shots_per_cell must be >= 1, got {shots_per_cell}")
@@ -184,10 +179,6 @@ def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
     objective = lambda basis: sampled_max_nonreality(
         mat, dims, basis, shots_per_cell, config.seed
     )
-    warm = linalg.hermitian_eig(
-        linalg.partial_trace(mat, dims, keep="A")
-    ).eigenvectors
-    basis, value, diag = minimize_over_bases(
-        objective, dims[0], config, warm_starts=[warm]
-    )
+    warm = np.linalg.eigh(linalg.partial_trace(mat, dims, keep="A"))[1]
+    basis, value, diag = minimize_over_bases(objective, warm, config)
     return value, basis, diag

@@ -47,7 +47,7 @@ def test_traced_searches_match_untraced():
     assert lower[0] == plain[7][0] and lower[2] == plain[7][2]
     assert np.array_equal(lower[1], plain[7][1])
     assert sampled == plain[8]
-    # identity, warm0, restart0 for each basis search; identity, restart0 for the roof
+    # identity, warm, restart0 for each basis search; identity, restart0 for the roof
     assert tracer.calls["optimize.nelder_mead"] == 8
     assert tracer.calls["optimize.objective"] > 0
     assert tracer.calls["optimize.unitary_from_angles"] > 0

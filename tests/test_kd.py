@@ -64,7 +64,7 @@ def test_marginal_real_in_state_eigenbasis():
     rho = ke.DensityOperator(
         ke.BipartiteDims(2, 3), random_density(6, 6, rng)
     )
-    _, vecs = ke.hermitian_eig(rho.matrix)
+    _, vecs = np.linalg.eigh(rho.matrix)
     basis_a = ke.haar_unitary(2, rng)
     dist = ke.kd_marginal(rho, basis_a, vecs)
     assert np.abs(dist.values.imag).max() < 1e-10

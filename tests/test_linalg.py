@@ -4,69 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdentangle import linalg
-from kdentangle.errors import DimensionMismatch, NotHermitian
+from kdentangle.errors import DimensionMismatch
 from kdentangle.states import bell_state, haar_unitary
-
-
-def random_hermitian(dim, rng):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2
-
-
-def test_eig_identity():
-    w, v = linalg.hermitian_eig(np.eye(3))
-    assert np.allclose(w, [1, 1, 1])
-    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
-
-
-def test_eig_pauli_x():
-    w, _ = linalg.hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(w, [-1, 1])
-
-
-def test_eig_quadratic_oracle():
-    # roots of the characteristic polynomial, by the quadratic formula
-    a, b, c, d = 0.75, 0.25, 0.25, 0.25
-    tr, det = a + d, a * d - b * c
-    lo = (tr - np.sqrt(tr**2 - 4 * det)) / 2
-    hi = (tr + np.sqrt(tr**2 - 4 * det)) / 2
-    w, _ = linalg.hermitian_eig(np.array([[a, b], [c, d]], dtype=complex))
-    assert abs(w[0] - lo) < 1e-12
-    assert abs(w[1] - hi) < 1e-12
-    assert abs(lo - (1 - 1 / np.sqrt(2)) / 2) < 1e-12
-    assert abs(hi - (1 + 1 / np.sqrt(2)) / 2) < 1e-12
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        dim = int(rng.integers(2, 10))
-        m = random_hermitian(dim, rng)
-        w, v = linalg.hermitian_eig(m)
-        scale = max(np.linalg.norm(m, 2), 1e-12)
-        assert np.linalg.norm((v * w) @ v.conj().T - m, 2) <= 1e-9 * scale
-        assert np.all(np.diff(w) >= -1e-12)
-        assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        linalg.hermitian_eig(np.zeros((2, 3)))
-
-
-def test_eig_deterministic_and_phase_fixed():
-    m = np.diag([1.0, 1.0, 2.0]).astype(complex)
-    w1, v1 = linalg.hermitian_eig(m)
-    w2, v2 = linalg.hermitian_eig(m)
-    assert np.array_equal(v1, v2)
-    for k in range(3):
-        first = v1[np.flatnonzero(np.abs(v1[:, k]) > 1e-8)[0], k]
-        assert abs(first.imag) < 1e-12 and first.real > 0
 
 
 def test_svd_examples():
