@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/config error,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -235,12 +236,7 @@ def cmd_mixed(args) -> int:
             "normalized": roof.value / roof_normalization(rho.dims),
             "probabilities": roof.probabilities,
             "pure_states": [s.amplitudes for s in roof.pure_states],
-            "diagnostics": {
-                "restarts": roof.diagnostics.restarts,
-                "best_start": roof.diagnostics.best_start,
-                "iterations": roof.diagnostics.iterations,
-                "converged": roof.diagnostics.converged,
-            },
+            "diagnostics": dataclasses.asdict(roof.diagnostics),
             "seed": args.seed,
             "tol": args.tol,
             "restarts": config.restarts,
@@ -338,6 +334,7 @@ def cmd_weak_sim(args) -> int:
             "deviation": abs(value - reference),
             "shots_per_cell": args.shots,
             "records": records_path,
+            "diagnostics": dataclasses.asdict(diag),
             "seed": args.seed,
             "tol": args.tol,
             "restarts": config.restarts,

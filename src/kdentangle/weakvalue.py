@@ -6,6 +6,14 @@ probabilities: outcome ``y`` measured on the phase-rotated input state versus
 on the phase-rotated post-measurement state of the nonselective binary
 measurement of ``P_x (x) I``. Only projective statistics are needed, so the
 estimator stays stable where the postselection probability is small.
+
+Both preparations of every first-basis outcome, and their Born distributions,
+are built in one stacked pass per evaluation. The multinomial draws stay one
+per (outcome, preparation) cell, each from its own generator seeded by a hash
+of the master seed, the cell's second basis, the outcome and the
+preparation, so records do not depend on evaluation order. Every draw goes
+through one entry that rejects shot counts above ``SHOTS_CAP``, the largest
+count an int64 holds.
 """
 
 import hashlib
@@ -46,20 +54,31 @@ class WeakValueEstimate:
             raise BadSpec("shots_used must be positive")
 
 
-def _clipped_probs(rho_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    p = np.clip(born_probabilities(rho_mat, basis), 0.0, None)
-    return p / p.sum()
+SHOTS_CAP = int(np.iinfo(np.int64).max)
+PREPARATIONS = ("state", "measured")
 
 
-def derived_seed(master: int, basis: np.ndarray, x: int, prep: int) -> int:
-    """Deterministic per-cell seed from the measurement setting, so sampling
-    results do not depend on evaluation order."""
+def derived_seeds(master: int, basis: np.ndarray, x: int) -> list[int]:
+    """Deterministic seeds of the two preparations of first-basis outcome
+    ``x``, hashed from the measurement setting, so sampling results do not
+    depend on evaluation order."""
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(int(master)).encode())
     h.update(np.ascontiguousarray(basis).tobytes())
     h.update(int(x).to_bytes(4, "little", signed=False))
-    h.update(int(prep).to_bytes(2, "little", signed=False))
-    return int.from_bytes(h.digest(), "little")
+    seeds = []
+    for prep in range(len(PREPARATIONS)):
+        hp = h.copy()
+        hp.update(prep.to_bytes(2, "little", signed=False))
+        seeds.append(int.from_bytes(hp.digest(), "little"))
+    return seeds
+
+
+def _draw(seed: int, shots: int, probs: np.ndarray) -> np.ndarray:
+    """Multinomial outcome counts of ``shots`` draws; every sampler draws here."""
+    if shots > SHOTS_CAP:
+        raise BadSpec(f"shots {shots} exceed the int64 count cap {SHOTS_CAP}")
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def sample_born(rho, basis, shots: int, seed: int,
@@ -72,46 +91,45 @@ def sample_born(rho, basis, shots: int, seed: int,
         raise BadSpec(f"shots must be >= 1, got {shots}")
     mat = as_state_matrix(rho)
     b = require_basis(basis, mat.shape[0])
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, _clipped_probs(mat, b))
+    p = np.maximum(born_probabilities(mat, b), 0.0)
+    counts = _draw(seed, shots, p / p.sum())
     return [
         ShotRecord(preparation, basis_label, outcome, int(c))
         for outcome, c in enumerate(counts)
     ]
 
 
-def _measurement_rotation(proj: np.ndarray) -> np.ndarray:
-    """Exact phase unitary ``exp(-i proj pi/2)`` (diagonal in the projector's
-    eigenbasis)."""
-    return np.eye(proj.shape[0], dtype=complex) + (np.exp(-1j * np.pi / 2) - 1.0) * proj
+def _cell_counts(rho_mat, projs, bases_y, shots, master_seed, cells):
+    """Outcome counts ``(k, 2, n)`` of both preparations of ``k`` cells.
 
-
-def _binary_post_state(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    q = np.eye(proj.shape[0]) - proj
-    return proj @ rho_mat @ proj + q @ rho_mat @ q
-
-
-def _two_prep_counts(rho_mat, proj, basis_y, shots_pair, master_seed, x_index,
-                     sink=None, tag=""):
-    """Sampled outcome counts for the two rotated preparations."""
-    v = _measurement_rotation(proj)
-    preps = (
-        ("state", v @ rho_mat @ linalg.dagger(v)),
-        ("measured", v @ _binary_post_state(rho_mat, proj) @ linalg.dagger(v)),
-    )
-    counts = []
-    for prep_idx, ((prep_name, prep_mat), shots) in enumerate(zip(preps, shots_pair)):
-        rng = np.random.default_rng(
-            derived_seed(master_seed, basis_y, x_index, prep_idx)
-        )
-        c = rng.multinomial(shots, _clipped_probs(prep_mat, basis_y))
-        counts.append(c)
-        if sink is not None:
-            for outcome, n in enumerate(c):
-                sink.append(
-                    ShotRecord(f"x{x_index}:{prep_name}", tag or f"x{x_index}",
-                               outcome, int(n))
-                )
+    Cell ``i`` rotates by ``V = exp(-i P pi/2)`` with ``P = projs[i]``:
+    preparation 0 is ``V rho V^dag`` and preparation 1 is
+    ``V (P rho P + Q rho Q) V^dag`` with ``Q = I - P``, the nonselective
+    binary measurement of ``P``. Both are measured in the basis
+    ``bases_y[i]``. The preparations and their Born distributions are built
+    for all cells in one stacked pass. Only the draws run per cell:
+    ``shots[prep]`` shots each, seeded from ``master_seed``, ``bases_y[i]``
+    and the outcome label ``cells[i]``.
+    """
+    # Counts move with the last bits of the probabilities, so every
+    # preparation keeps this operation order; algebraically equal forms such
+    # as <V^dag y| sigma |V^dag y> draw other records.
+    k, n, _ = projs.shape
+    eye = np.eye(n)
+    pq = np.concatenate((projs, eye - projs))
+    sandwiched = pq @ rho_mat @ pq
+    states = np.empty((k, 2, n, n), dtype=complex)
+    states[:, 0] = rho_mat
+    np.add(sandwiched[:k], sandwiched[k:], out=states[:, 1])
+    v = eye + (np.exp(-1j * np.pi / 2) - 1.0) * projs
+    preps = v[:, None] @ states @ np.conj(v[:, None]).swapaxes(-1, -2)
+    born = np.einsum("xiy,xpij,xjy->xpy", np.conj(bases_y), preps, bases_y).real
+    p = np.maximum(born, 0.0)
+    p /= p.sum(axis=-1, keepdims=True)
+    counts = np.empty(p.shape, dtype=np.int64)
+    for i, (x, basis_y) in enumerate(zip(cells, bases_y)):
+        for prep, seed in enumerate(derived_seeds(master_seed, basis_y, x)):
+            counts[i, prep] = _draw(seed, shots[prep], p[i, prep])
     return counts
 
 
@@ -123,17 +141,18 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     Shots split evenly across the two preparations; the estimator is half the
     difference of the empirical probabilities of outcome ``y_index``, and the
     reported standard error is the binomial propagation of both halves. The
-    estimate is stored in the imaginary part of ``value``.
+    estimate is stored in the imaginary part of ``value``. The cell is sampled
+    by the same stacked pass as ``sampled_max_nonreality``, as a stack of one.
     """
     if shots < 2:
         raise BadSpec(f"shots must be >= 2, got {shots}")
     mat = as_state_matrix(rho)
     a = require_basis(basis_a, rho.dims.da)
-    proj = linalg.embed_local(linalg.projectors(a)[[x_index]], rho.dims.as_tuple())[0]
+    projs = linalg.embed_local(linalg.projectors(a)[[x_index]], rho.dims.as_tuple())
     y = require_basis(basis_y, mat.shape[0])
     n1 = shots // 2
     n2 = shots - n1
-    c1, c2 = _two_prep_counts(mat, proj, y, (n1, n2), seed, x_index)
+    c1, c2 = _cell_counts(mat, projs, y[None], (n1, n2), seed, [x_index])[0]
     f1 = c1[y_index] / n1
     f2 = c2[y_index] / n2
     est = (f1 - f2) / 2.0
@@ -147,20 +166,30 @@ def sampled_max_nonreality(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
     """Sampled counterpart of the analytic per-basis nonreality supremum.
 
     For each first-basis outcome the optimal second basis is computed
-    classically from the state, and the cell imaginary parts entering the sum
-    are taken from finite two-preparation statistics only.
+    classically from the state, in one call of ``optimal_second_basis`` for
+    all outcomes, and the cell imaginary parts entering the sum are taken
+    from finite two-preparation statistics only. The preparations of every
+    outcome are built in one stacked pass; each outcome's two draws keep
+    their own seeds. ``sink``, if given, receives one ``ShotRecord`` per
+    outcome of each preparation.
     """
     projs = linalg.embed_local(linalg.projectors(basis_a), dims)
     bases_y = optimal_second_basis(rho_mat, projs)
-    total = 0.0
-    for x, (proj, basis_y) in enumerate(zip(projs, bases_y)):
-        c1, c2 = _two_prep_counts(
-            rho_mat, proj, basis_y, (shots_per_cell, shots_per_cell),
-            master_seed, x, sink=sink, tag=f"x{x}:optimal",
-        )
-        est = (c1 / shots_per_cell - c2 / shots_per_cell) / 2.0
-        total += float(np.abs(est).sum())
-    return total
+    counts = _cell_counts(
+        rho_mat, projs, bases_y, (shots_per_cell, shots_per_cell),
+        master_seed, range(len(projs)),
+    )
+    if sink is not None:
+        for x, cell in enumerate(counts.tolist()):
+            for prep_name, prep_counts in zip(PREPARATIONS, cell):
+                sink.extend(
+                    ShotRecord(f"x{x}:{prep_name}", f"x{x}:optimal", outcome, n)
+                    for outcome, n in enumerate(prep_counts)
+                )
+    est = (counts[:, 0] / shots_per_cell - counts[:, 1] / shots_per_cell) / 2.0
+    # cumsum adds the per-outcome sums left to right; np.sum pairs them,
+    # which can move the last bit of the value
+    return float(np.cumsum(np.abs(est).sum(axis=1))[-1])
 
 
 def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,

@@ -27,10 +27,12 @@ def solve():
     lower = entanglement.asymmetry_lower_bound(
         rho, "B", ke.OptimizerConfig(restarts=1, max_iters=100)
     )
-    sampled = weakvalue.sampled_max_nonreality(rho.matrix, (2, 3), basis, 1000, 0)
+    records = []
+    sampled = weakvalue.sampled_max_nonreality(rho.matrix, (2, 3), basis, 1000, 0,
+                                               sink=records)
     return (value, basis, diag,
             roof.value, roof.probabilities, [s.amplitudes for s in roof.pure_states],
-            roof.diagnostics, lower, sampled)
+            roof.diagnostics, lower, sampled, records)
 
 
 def test_traced_searches_match_untraced():
@@ -38,7 +40,7 @@ def test_traced_searches_match_untraced():
     tracer = tracer_module.Tracer()
     with tracer.installed():
         traced = solve()
-    value, basis, diag, roof_value, probs, states, roof_diag, lower, sampled = traced
+    value, basis, diag, roof_value, probs, states, roof_diag, lower, sampled, records = traced
     assert value == plain[0] and diag == plain[2]
     assert np.array_equal(basis, plain[1])
     assert roof_value == plain[3] and roof_diag == plain[6]
@@ -46,7 +48,7 @@ def test_traced_searches_match_untraced():
     assert all(np.array_equal(a, b) for a, b in zip(states, plain[5], strict=True))
     assert lower[0] == plain[7][0] and lower[2] == plain[7][2]
     assert np.array_equal(lower[1], plain[7][1])
-    assert sampled == plain[8]
+    assert sampled == plain[8] and records == plain[9]
     # identity, warm, restart0 for each basis search; identity, restart0 for the roof
     assert tracer.calls["optimize.nelder_mead"] == 8
     assert tracer.calls["optimize.objective"] > 0
@@ -55,5 +57,8 @@ def test_traced_searches_match_untraced():
     for name in ("kd.max_nonreality_mat", "entanglement.pattern_sup",
                  "linalg.commutator_trace_norm"):
         assert tracer.calls[name] > 0
-    # two preparations of 1000 shots for each of the 2 first-basis outcomes
+    # two preparations of 1000 shots for each of the 2 first-basis outcomes,
+    # with one second-basis solve for both outcomes
     assert tracer.counts["weakvalue.shots"] == 4000
+    assert tracer.calls["weakvalue.sampled_max_nonreality"] == 1
+    assert tracer.calls["kd.optimal_second_basis"] == 1

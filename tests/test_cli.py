@@ -200,6 +200,26 @@ def test_weak_sim_shot_floor(tmp_path):
     assert res.returncode == 2
 
 
+def test_weak_sim_reports_search_diagnostics(tmp_path, capsys):
+    records = tmp_path / "rec.csv"
+    assert cli.main(["weak-sim", "--builtin", "bell", "--shots", "1000",
+                     "--restarts", "1", "--records", str(records)]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert list(diag) == ["restarts", "best_start", "iterations", "converged"]
+    assert diag["restarts"] == 1
+    assert diag["best_start"] in ("identity", "warm", "restart0")
+    assert diag["iterations"] > 0
+    assert isinstance(diag["converged"], bool)
+
+
+def test_weak_sim_rejects_shots_beyond_int64(tmp_path, capsys):
+    records = tmp_path / "rec.csv"
+    assert cli.main(["weak-sim", "--builtin", "bell", "--shots", str(2**63),
+                     "--records", str(records)]) == 2
+    assert "exceed the int64 count cap" in capsys.readouterr().err
+    assert not records.exists()
+
+
 def test_weak_sim_rejects_mixed(tmp_path):
     path = tmp_path / "state.json"
     ke.save_state(ke.werner_state(0.5), path)
@@ -218,11 +238,14 @@ def test_outputs_deterministic(tmp_path):
         assert a.returncode == 0
         assert strip_timing(a.stdout) == strip_timing(b.stdout)
 
-    args = ("weak-sim", "--builtin", "bell", "--shots", "20000",
-            "--records", str(tmp_path / "r.csv"))
-    a = run_cli(*args, cwd=str(tmp_path))
-    b = run_cli(*args, cwd=str(tmp_path))
-    assert strip_timing(a.stdout) == strip_timing(b.stdout)
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        res = run_cli("weak-sim", "--builtin", "bell", "--shots", "20000",
+                      "--records", name, cwd=str(tmp_path))
+        assert res.returncode == 0
+        runs.append(strip_timing(res.stdout).replace(name, "RECORDS"))
+    assert runs[0] == runs[1]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_state_and_builtin_conflict():

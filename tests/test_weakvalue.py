@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import kdentangle as ke
+from kdentangle import linalg
 from kdentangle.errors import BadSpec
 
 EYE2 = np.eye(2, dtype=complex)
@@ -134,3 +137,101 @@ def test_shot_records_from_sampled_objective():
     # deterministic reevaluation
     again = ke.sampled_max_nonreality(state.outer(), (2, 2), EYE2, 5000, 42)
     assert again == value
+
+
+# Reference: the per-cell sampling formulas, one (outcome, preparation) cell at
+# a time. The stacked pass must reproduce its values and records bit for bit:
+# multinomial counts move with the last bits of the probabilities.
+def _ref_seed(master, basis, x, prep):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(int(master)).encode())
+    h.update(np.ascontiguousarray(basis).tobytes())
+    h.update(int(x).to_bytes(4, "little", signed=False))
+    h.update(int(prep).to_bytes(2, "little", signed=False))
+    return int.from_bytes(h.digest(), "little")
+
+
+def _ref_counts(rho_mat, proj, basis_y, shots_pair, master, x, sink=None, tag=""):
+    n = proj.shape[0]
+    v = np.eye(n, dtype=complex) + (np.exp(-1j * np.pi / 2) - 1.0) * proj
+    q = np.eye(n) - proj
+    post = proj @ rho_mat @ proj + q @ rho_mat @ q
+    preps = (("state", v @ rho_mat @ np.conj(v).T),
+             ("measured", v @ post @ np.conj(v).T))
+    counts = []
+    for prep, ((name, mat), shots) in enumerate(zip(preps, shots_pair)):
+        p = np.clip(np.einsum("iy,ij,jy->y", np.conj(basis_y), mat, basis_y).real,
+                    0.0, None)
+        rng = np.random.default_rng(_ref_seed(master, basis_y, x, prep))
+        c = rng.multinomial(shots, p / p.sum())
+        counts.append(c)
+        if sink is not None:
+            for outcome, k in enumerate(c):
+                sink.append(ke.ShotRecord(f"x{x}:{name}", tag, outcome, int(k)))
+    return counts
+
+
+def _ref_sampled(rho_mat, dims, basis_a, shots, master, sink):
+    projs = linalg.embed_local(linalg.projectors(basis_a), dims)
+    total = 0.0
+    for x, (proj, basis_y) in enumerate(zip(projs, ke.optimal_second_basis(rho_mat, projs))):
+        c1, c2 = _ref_counts(rho_mat, proj, basis_y, (shots, shots), master, x,
+                             sink, f"x{x}:optimal")
+        total += float(np.abs((c1 / shots - c2 / shots) / 2.0).sum())
+    return total
+
+
+def _ref_estimate(rho, basis_a, basis_y, x, y, shots, seed):
+    proj = linalg.embed_local(linalg.projectors(basis_a)[[x]], rho.dims.as_tuple())[0]
+    n1 = shots // 2
+    n2 = shots - n1
+    c1, c2 = _ref_counts(rho.matrix, proj, basis_y, (n1, n2), seed, x)
+    f1 = c1[y] / n1
+    f2 = c2[y] / n2
+    return (f1 - f2) / 2.0, float(0.5 * np.sqrt(f1 * (1 - f1) / n1 + f2 * (1 - f2) / n2))
+
+
+BIT_CASES = [
+    (ke.BipartiteDims(*dims), seed, rank)
+    for seed, (dims, rank) in enumerate([((2, 2), 1), ((2, 3), 1), ((3, 2), 1),
+                                         ((3, 3), 1), ((2, 3), 2), ((3, 3), 2)])
+]
+
+
+@pytest.mark.parametrize("shots", [1000, 10**6])
+@pytest.mark.parametrize("dims,seed,rank", BIT_CASES)
+def test_stacked_sampling_matches_per_cell_reference(dims, seed, rank, shots):
+    if rank == 1:
+        rho = ke.haar_pure(dims, 100 + seed).density()
+    else:
+        rho = ke.random_mixed(dims, rank, 100 + seed)
+    for trial in range(3):
+        basis_a = ke.haar_unitary(dims.da, 10 * seed + trial)
+        sink, ref_sink = [], []
+        value = ke.sampled_max_nonreality(rho.matrix, dims.as_tuple(), basis_a,
+                                          shots, trial, sink=sink)
+        ref = _ref_sampled(rho.matrix, dims.as_tuple(), basis_a, shots, trial, ref_sink)
+        assert value == ref
+        assert sink == ref_sink
+        basis_y = ke.haar_unitary(dims.total, 10 * seed + trial + 5)
+        x, y = trial % dims.da, (seed + trial) % dims.total
+        est = ke.estimate_kd_imag(rho, basis_a, basis_y, x, y, shots, seed + trial)
+        assert (est.value.imag, est.std_error_im) == _ref_estimate(
+            rho, basis_a, basis_y, x, y, shots, seed + trial)
+
+
+def test_shots_beyond_int64_rejected():
+    cap = np.iinfo(np.int64).max
+    rho = ke.bell_state().density()
+    with pytest.raises(BadSpec, match="int64 count cap"):
+        ke.sample_born(rho, np.eye(4, dtype=complex), cap + 1, seed=1)
+    with pytest.raises(BadSpec, match="int64 count cap"):
+        ke.sampled_max_nonreality(rho.matrix, (2, 2), EYE2, cap + 1, 0)
+    # each preparation takes half the shots
+    with pytest.raises(BadSpec, match="int64 count cap"):
+        ke.estimate_kd_imag(rho, EYE2, np.eye(4, dtype=complex), 0, 0, 2 * cap + 2, 0)
+    records = ke.sample_born(rho, np.eye(4, dtype=complex), cap, seed=1)
+    assert sum(r.count for r in records) == cap
+    sink = []
+    ke.sampled_max_nonreality(rho.matrix, (2, 2), EYE2, cap, 0, sink=sink)
+    assert sum(r.count for r in sink) == 4 * cap
