@@ -21,7 +21,7 @@ from .entanglement import (
     roof_normalization,
 )
 from .errors import BadSpec, BasisPairSingular, KdToolError, OptimizerFailed
-from .optimize import OptimizerConfig
+from .optimize import RESTART_CAP, OptimizerConfig
 from .states import (
     BipartiteDims,
     BipartitePureState,
@@ -370,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="report output format")
         if with_restarts:
-            p.add_argument("--restarts", type=int, default=None)
+            p.add_argument("--restarts", type=int, default=None,
+                           help="seeded random restarts per search, 1 to "
+                           f"{RESTART_CAP}")
 
     p = sub.add_parser("kd-dist", help="emit a quasiprobability table as CSV")
     add_common(p, with_restarts=False)

@@ -8,6 +8,11 @@ phase on a basis vector changes no projector, and a phase on a decomposition
 vector changes no term. The rotations are grouped into rounds of disjoint
 pairs, each round one matrix. Zero angles materialize the identity.
 
+The descent is an in-house adaptive Nelder-Mead written with numpy alone. It
+reproduces scipy 1.17.1's ``minimize(method="Nelder-Mead", adaptive=True)``
+iterate for iterate, so the package needs no scipy, and its import does not
+pay for ``scipy.optimize``.
+
 The convex-roof objective is the plain sum of a weighted pure-state
 functional over the unnormalized decomposition rows ``sqrt(p_k) psi_k``, so it
 needs no weights, normalization or mask. A state of rank 1 has only one
@@ -15,10 +20,10 @@ decomposition and is not searched.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import linalg
 from .errors import BadParamCount, BadSpec, OptimizerFailed
@@ -28,6 +33,9 @@ RANK_TOL = 1e-12
 TERM_WEIGHT_FLOOR = 1e-12
 ROOF_CAP = 16
 SIMPLEX_SCALE = 0.3
+XATOL = 1e-7
+FATOL = 1e-9
+RESTART_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise BadSpec(f"restarts must be >= 1, got {self.restarts}")
+        if not 1 <= self.restarts <= RESTART_CAP:
+            raise BadSpec(f"restarts must be in [1, {RESTART_CAP}], got {self.restarts}")
+        if self.max_iters < 1:
+            raise BadSpec(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise BadSpec(f"tol must be positive and finite, got {self.tol}")
 
@@ -96,35 +106,114 @@ def unitary_from_angles(angles, dim: int) -> np.ndarray:
     return u
 
 
+@dataclass(frozen=True)
+class SimplexResult:
+    """One simplex descent: the best vertex ``x`` and its value ``fun``, the
+    iteration and evaluation counts, and whether the tolerances stopped it
+    before the iteration cap."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def _sorted(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259 (2012))
+    from ``x0`` and its ``SIMPLEX_SCALE`` steps along each axis.
+
+    The steps are those of scipy 1.17.1's ``_minimize_neldermead`` with
+    ``adaptive=True``, that initial simplex, ``maxiter=max_iters``,
+    ``xatol=XATOL``, ``fatol=FATOL`` and no evaluation limit, written with the
+    same numpy expressions and the same ``argsort`` re-sorts, so every iterate
+    and the returned ``x``, ``fun``, ``nit``, ``nfev`` and ``success`` equal
+    scipy's bit for bit. As there, ``nit`` starts at 1 and a run that reaches
+    ``max_iters`` reports no success. ``fun`` must not modify its argument.
+
+    The name is the hook that the benchmark tracer (``bench/tracer.py``) and
+    the tests patch to see each start; it stays until a benchmark change
+    renames it.
+    """
+    n = x0.size
+    chi = 1 + 2 / n
+    psi = 0.75 - 1 / (2 * n)
+    sigma = 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:, :] += np.eye(n) * SIMPLEX_SCALE
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    nfev = n + 1
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    nit = 1
+    while nit < max_iters:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi) * xbar - psi * sim[-1]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = fun(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            fsim[1:] = [fun(x) for x in sim[1:]]
+            nfev += n
+        nit += 1
+        sim, fsim = _sorted(sim, fsim)
+    return SimplexResult(sim[0], float(np.min(fsim)), nit, nfev, nit < max_iters)
+
+
 def _multistart(starts, config: OptimizerConfig):
     """Seeded multistart simplex descent.
 
     ``starts`` is an ordered list of ``(label, objective, x0)``. The seeded
-    uniform restarts ``restart{i}``, drawn from ``[config.seed, i]``, follow
-    it and use the first start's objective. Each start point competes with its
-    own descent result, so the value never exceeds the objective at any start
-    point. Ties in the best value break toward the lexicographically smallest
-    angle vector. Returns ``(angles, value, diagnostics)``; the winning start
-    is ``diagnostics.best_start``.
+    uniform restarts ``restart{i}``, drawn from ``[config.seed, i]`` when
+    their descent begins, follow it and use the first start's objective. Each
+    start point competes with its own descent result, so the value never
+    exceeds the objective at any start point. Ties in the best value break
+    toward the lexicographically smallest angle vector. Returns
+    ``(angles, value, diagnostics)``; the winning start is
+    ``diagnostics.best_start``.
     """
     _, first_objective, first_x0 = starts[0]
-    starts = list(starts)
-    for i in range(config.restarts):
-        rng = np.random.default_rng([config.seed, i])
-        starts.append(
-            (f"restart{i}", first_objective, rng.uniform(-np.pi, np.pi, first_x0.size))
-        )
+    restarts = (
+        (f"restart{i}", first_objective,
+         np.random.default_rng([config.seed, i]).uniform(-np.pi, np.pi, first_x0.size))
+        for i in range(config.restarts)
+    )
     best = None
     iterations = 0
     converged = False
-    for label, objective, x0 in starts:
-        simplex = np.tile(x0, (x0.size + 1, 1))
-        simplex[1:, :] += np.eye(x0.size) * SIMPLEX_SCALE
-        res = _scipy_minimize(
-            objective, x0, method="Nelder-Mead",
-            options=dict(maxiter=config.max_iters, xatol=1e-7, fatol=1e-9,
-                         adaptive=True, initial_simplex=simplex),
-        )
+    for label, objective, x0 in itertools.chain(starts, restarts):
+        res = _scipy_minimize(objective, x0, max_iters=config.max_iters)
         iterations += int(res.nit)
         converged = converged or bool(res.success)
         for val, vec in ((float(res.fun), np.asarray(res.x)), (float(objective(x0)), x0)):

@@ -141,12 +141,17 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     Shots split evenly across the two preparations; the estimator is half the
     difference of the empirical probabilities of outcome ``y_index``, and the
     reported standard error is the binomial propagation of both halves. The
-    estimate is stored in the imaginary part of ``value``. The cell is sampled
+    estimate is stored in the imaginary part of ``value``. ``x_index`` must
+    lie in ``[0, dA)`` and ``y_index`` in ``[0, dA * dB)``. The cell is sampled
     by the same stacked pass as ``sampled_max_nonreality``, as a stack of one.
     """
     if shots < 2:
         raise BadSpec(f"shots must be >= 2, got {shots}")
     mat = as_state_matrix(rho)
+    ranges = (("x_index", x_index, rho.dims.da), ("y_index", y_index, mat.shape[0]))
+    for name, index, d in ranges:
+        if not 0 <= index < d:
+            raise BadSpec(f"{name} must be in [0, {d}), got {index}")
     a = require_basis(basis_a, rho.dims.da)
     projs = linalg.embed_local(linalg.projectors(a)[[x_index]], rho.dims.as_tuple())
     y = require_basis(basis_y, mat.shape[0])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import kdentangle as ke
-from kdentangle import cli, entanglement
+from kdentangle import cli, entanglement, optimize
 
 RUN = [sys.executable, "-m", "kdentangle"]
 # the child imports the package this session imported, installed or not
@@ -117,6 +117,17 @@ def test_mixed_rejects_non_finite_tol(capsys):
     assert cli.main(["mixed", "--builtin", "werner:0.5", "--restarts", "1",
                      "--terms", "4", "--tol", "nan"]) == 2
     assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_mixed_rejects_restarts_above_cap(monkeypatch, capsys):
+    # the restarts are checked before any start runs, so 10^9 of them never
+    # reach the search
+    def no_search(*args, **kwargs):
+        raise AssertionError("a start ran")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_search)
+    assert cli.main(["mixed", "--builtin", "werner:0.5", "--restarts", "1000000000"]) == 2
+    assert f"restarts must be in [1, {optimize.RESTART_CAP}]" in capsys.readouterr().err
 
 
 def test_bounds_rejects_side_above_pattern_cap(monkeypatch, capsys):
@@ -256,3 +267,28 @@ def test_state_and_builtin_conflict():
 def test_unknown_builtin():
     res = run_cli("pure", "--builtin", "glome")
     assert res.returncode == 2
+
+
+SCIPY_PROBE = """
+import runpy, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import kdentangle
+print(loaded())
+sys.argv = ["kdentangle", "pure", "--builtin", "bell"]
+try:
+    runpy.run_module("kdentangle", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(loaded())
+"""
+
+
+def test_no_scipy_module_loaded():
+    # the package and the CLI run on numpy alone
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert '"command": "pure"' in res.stdout
+    assert lines[0] == "[]" and lines[-1] == "[]"

@@ -83,8 +83,13 @@ def test_angles_reach_every_projector_direction():
 
 
 def test_config_validation():
-    with pytest.raises(BadSpec):
-        ke.OptimizerConfig(restarts=0)
+    for restarts in (0, optimize.RESTART_CAP + 1):
+        with pytest.raises(BadSpec):
+            ke.OptimizerConfig(restarts=restarts)
+    ke.OptimizerConfig(restarts=optimize.RESTART_CAP)
+    for max_iters in (0, -1):
+        with pytest.raises(BadSpec):
+            ke.OptimizerConfig(max_iters=max_iters)
     for tol in (0.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(BadSpec):
             ke.OptimizerConfig(tol=tol)
@@ -261,3 +266,70 @@ def test_convex_roof_searches_rotation_angles_only(monkeypatch):
         p = (np.abs(psi) ** 2).sum(axis=0)
         shifted = p @ functional((psi / np.sqrt(p)).T)
         assert abs(objective(angles) - shifted) <= 1e-15
+
+
+def scipy_reference(fun, x0, max_iters):
+    """scipy's adaptive Nelder-Mead from the simplex the package builds."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    simplex = np.tile(x0, (x0.size + 1, 1))
+    simplex[1:, :] += np.eye(x0.size) * optimize.SIMPLEX_SCALE
+    return scipy_optimize.minimize(
+        fun, x0, method="Nelder-Mead",
+        options=dict(maxiter=max_iters, xatol=optimize.XATOL, fatol=optimize.FATOL,
+                     adaptive=True, initial_simplex=simplex),
+    )
+
+
+def assert_matches_scipy(minimize, fun, x0, max_iters):
+    ours = minimize(fun, x0, max_iters=max_iters)
+    ref = scipy_reference(fun, x0, max_iters)
+    assert np.array_equal(ours.x, ref.x)
+    assert (ours.fun, ours.nit, ours.nfev, ours.success) == (
+        ref.fun, ref.nit, ref.nfev, ref.success)
+    return ours
+
+
+def test_nelder_mead_matches_scipy_on_package_searches(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    ours = optimize._scipy_minimize
+    runs = []
+
+    def both(fun, x0, max_iters):
+        runs.append(assert_matches_scipy(ours, fun, x0, max_iters))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", both)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=1500, seed=3)
+    for p in (0.2, 0.6):
+        entanglement.mixed_entanglement(ke.werner_state(p), cfg, terms=4)
+    entanglement.mixed_entanglement(ke.random_mixed(ke.BipartiteDims(2, 3), 2, 5), cfg)
+    short = ke.OptimizerConfig(restarts=1, max_iters=300, seed=3)
+    entanglement.minimized_nonreality(ke.haar_pure(ke.BipartiteDims(3, 3), 4).density(), short)
+    entanglement.asymmetry_lower_bound(
+        ke.random_mixed(ke.BipartiteDims(2, 3), 2, 6), "B", short)
+    # two starts per roof, three per basis search
+    assert len(runs) == 2 * 3 + 3 * 2
+    assert any(run.success for run in runs) and not all(run.success for run in runs)
+
+
+def test_nelder_mead_matches_scipy_through_shrink_steps():
+    # near the minimum the constant swamps x.x, so contractions stop
+    # improving and the simplex shrinks: some iteration takes more than the
+    # two evaluations of a reflection and an expansion or contraction
+    x0 = np.array([1.0, 1.0])
+    res = assert_matches_scipy(optimize._scipy_minimize,
+                               lambda x: float(1e6 + x @ x), x0, 2000)
+    assert res.success
+    assert res.nfev > x0.size + 1 + 2 * (res.nit - 1)
+
+
+def test_nelder_mead_matches_scipy_at_the_iteration_cap():
+    scales = np.diag([1.0, 4.0, 25.0])
+    x0 = np.array([1.0, -2.0, 0.5])
+    for max_iters in (1, 2, 20):
+        res = assert_matches_scipy(optimize._scipy_minimize,
+                                   lambda x: float(x @ scales @ x), x0, max_iters)
+        assert res.nit == max_iters and not res.success
+        if max_iters == 1:
+            # the first iteration is the initial simplex alone
+            assert res.nfev == x0.size + 1

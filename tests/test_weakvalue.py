@@ -235,3 +235,21 @@ def test_shots_beyond_int64_rejected():
     sink = []
     ke.sampled_max_nonreality(rho.matrix, (2, 2), EYE2, cap, 0, sink=sink)
     assert sum(r.count for r in sink) == 4 * cap
+
+
+
+# x_index -1 ended in OverflowError from the seed hash, y_index -1 silently
+# read the last outcome, and y_index N raised IndexError
+@pytest.mark.parametrize("x_index, y_index, name", [
+    (-1, 0, "x_index"), (2, 0, "x_index"), (0, -1, "y_index"), (0, 4, "y_index"),
+])
+def test_estimate_kd_imag_rejects_index_out_of_range(x_index, y_index, name):
+    rho = ke.bell_state().density()
+    with pytest.raises(BadSpec, match=name):
+        ke.estimate_kd_imag(rho, EYE2, np.eye(4, dtype=complex), x_index, y_index, 1000, 0)
+
+
+def test_estimate_kd_imag_accepts_last_indices():
+    est = ke.estimate_kd_imag(ke.bell_state().density(), EYE2, np.eye(4, dtype=complex),
+                              1, 3, 1000, 0)
+    assert est.shots_used == 1000
