@@ -2,12 +2,15 @@
 reports, verification suites, and the sampled estimation pipeline.
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 singular basis pair, 4 optimizer bound violation.
+3 singular basis pair, 4 optimizer bound violation, 141 standard output
+closed by its reader.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import sys
 import time
 
@@ -35,6 +38,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_OPTIMIZER = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 VERIFY_DIM_CAP = 9
 RANK_ONE_TOL = 1e-8
@@ -83,12 +87,12 @@ def _parse_dims(text: str) -> BipartiteDims:
 
 
 def _resolve_state(args):
-    if getattr(args, "state", None) and getattr(args, "builtin", None):
+    if args.state and args.builtin:
         raise BadSpec("provide either --state or --builtin, not both")
-    dims = _parse_dims(args.dims) if getattr(args, "dims", None) else None
-    if getattr(args, "state", None):
+    dims = _parse_dims(args.dims) if args.dims else None
+    if args.state:
         return load_state(args.state)
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return make_state(args.builtin, dims=dims, seed=args.seed)
     raise BadSpec("provide a state via --state or --builtin")
 
@@ -151,13 +155,31 @@ def _basis_from_spec(spec: str, dim: int) -> np.ndarray:
     return _nearest_basis(m)
 
 
-def _config_from(args, default_restarts=32, default_iters=2000) -> OptimizerConfig:
+def _config_from(args, default_restarts, default_iters) -> OptimizerConfig:
+    """Commands without ``--tol`` search with the dataclass default."""
     return OptimizerConfig(
         restarts=args.restarts if args.restarts is not None else default_restarts,
         max_iters=default_iters,
-        tol=args.tol,
+        tol=getattr(args, "tol", OptimizerConfig.tol),
         seed=args.seed,
     )
+
+
+def _report(command):
+    """Turn a command that returns its own fields and the settings it read
+    into one that emits the full report: the command name, its fields, the
+    seed, its settings and the wall time, in that order."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        t0 = time.time()
+        fields, settings = command(args)
+        report = {"command": args.command, **fields, "seed": args.seed, **settings,
+                  "wall_time_s": time.time() - t0}
+        _emit(report, args.out, args.format)
+        return EXIT_OK
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -199,85 +221,61 @@ def cmd_kd_dist(args) -> int:
     return EXIT_OK
 
 
-def cmd_pure(args) -> int:
-    t0 = time.time()
+@_report
+def cmd_pure(args):
     state = _as_pure(_resolve_state(args))
     report = pure_entanglement(state)
-    _emit(
-        {
-            "command": "pure",
-            "dims": [state.dims.da, state.dims.db],
-            "value": report.value,
-            "normalized": report.normalized,
-            "schmidt_rank": report.schmidt_rank,
-            "concurrence": report.concurrence,
-            "entropy_of_entanglement": report.entropy_of_entanglement,
-            "seed": args.seed,
-            "tol": args.tol,
-            "restarts": None,
-            "wall_time_s": time.time() - t0,
-        },
-        args.out,
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "dims": [state.dims.da, state.dims.db],
+        "value": report.value,
+        "normalized": report.normalized,
+        "schmidt_rank": report.schmidt_rank,
+        "concurrence": report.concurrence,
+        "entropy_of_entanglement": report.entropy_of_entanglement,
+    }, {}
 
 
-def cmd_mixed(args) -> int:
-    t0 = time.time()
+@_report
+def cmd_mixed(args):
     rho = _as_density(_resolve_state(args))
-    config = _config_from(args)
+    config = _config_from(args, default_restarts=32, default_iters=2000)
     roof = mixed_entanglement(rho, config, terms=args.terms)
-    _emit(
-        {
-            "command": "mixed",
-            "dims": [rho.dims.da, rho.dims.db],
-            "value": roof.value,
-            "normalized": roof.value / roof_normalization(rho.dims),
-            "probabilities": roof.probabilities,
-            "pure_states": [s.amplitudes for s in roof.pure_states],
-            "diagnostics": dataclasses.asdict(roof.diagnostics),
-            "seed": args.seed,
-            "tol": args.tol,
-            "restarts": config.restarts,
-            "terms": roof.terms,
-            "wall_time_s": time.time() - t0,
-        },
-        args.out,
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "dims": [rho.dims.da, rho.dims.db],
+        "value": roof.value,
+        "normalized": roof.value / roof_normalization(rho.dims),
+        "probabilities": roof.probabilities,
+        "pure_states": [s.amplitudes for s in roof.pure_states],
+        "diagnostics": dataclasses.asdict(roof.diagnostics),
+    }, {"tol": config.tol, "restarts": config.restarts, "terms": roof.terms}
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.time()
+@_report
+def cmd_bounds(args):
     rho = _as_density(_resolve_state(args))
     config = _config_from(args, default_restarts=8, default_iters=600)
     report = bounds_report(rho, config)
-    _emit(
-        {
-            "command": "bounds",
-            "dims": [rho.dims.da, rho.dims.db],
-            "lower": report.lower,
-            "upper": report.upper,
-            "lower_swapped": report.lower_swapped,
-            "upper_swapped": report.upper_swapped,
-            "best_lower": report.best_lower,
-            "best_upper": report.best_upper,
-            "certified_lower": report.certified_lower,
-            "seed": args.seed,
-            "tol": args.tol,
-            "restarts": config.restarts,
-            "wall_time_s": time.time() - t0,
-        },
-        args.out,
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "dims": [rho.dims.da, rho.dims.db],
+        "lower": report.lower,
+        "upper": report.upper,
+        "lower_swapped": report.lower_swapped,
+        "upper_swapped": report.upper_swapped,
+        "best_lower": report.best_lower,
+        "best_upper": report.best_upper,
+        "certified_lower": report.certified_lower,
+    }, {"restarts": config.restarts}
 
 
 def cmd_verify(args) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    if args.suite == "all":
+        names = list(verify.SUITES)  # each takes the options it can use
+    else:
+        names = [args.suite]
+        for option, value, takers in (("--dims", args.dims, verify.DIMS_AWARE),
+                                      ("--count", args.count, verify.COUNT_KEYWORD)):
+            if value is not None and args.suite not in takers:
+                raise BadSpec(f"suite {args.suite} does not take {option}")
     dims = None
     if args.dims:
         dims = _parse_dims(args.dims)
@@ -301,17 +299,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def cmd_weak_sim(args) -> int:
-    t0 = time.time()
+@_report
+def cmd_weak_sim(args):
     state = _as_pure(_resolve_state(args))
     if args.shots < MIN_WEAK_SHOTS:
         raise BadSpec(f"shots {args.shots} below floor {MIN_WEAK_SHOTS}")
-    config = OptimizerConfig(
-        restarts=args.restarts if args.restarts is not None else 4,
-        max_iters=150,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    config = _config_from(args, default_restarts=4, default_iters=150)
     value, basis, diag = weakvalue.sampled_entanglement(state, args.shots, config)
     reference = pure_entanglement(state).value
     records: list = []
@@ -324,26 +317,16 @@ def cmd_weak_sim(args) -> int:
         fh.write("preparation,basis,outcome,count\n")
         for rec in records:
             fh.write(f"{rec.preparation},{rec.basis},{rec.outcome},{rec.count}\n")
-    _emit(
-        {
-            "command": "weak-sim",
-            "dims": [state.dims.da, state.dims.db],
-            "estimate": value,
-            "best_basis_estimate": final,
-            "reference": reference,
-            "deviation": abs(value - reference),
-            "shots_per_cell": args.shots,
-            "records": records_path,
-            "diagnostics": dataclasses.asdict(diag),
-            "seed": args.seed,
-            "tol": args.tol,
-            "restarts": config.restarts,
-            "wall_time_s": time.time() - t0,
-        },
-        args.out,
-        args.format,
-    )
-    return EXIT_OK
+    return {
+        "dims": [state.dims.da, state.dims.db],
+        "estimate": value,
+        "best_basis_estimate": final,
+        "reference": reference,
+        "deviation": abs(value - reference),
+        "shots_per_cell": args.shots,
+        "records": records_path,
+        "diagnostics": dataclasses.asdict(diag),
+    }, {"restarts": config.restarts}
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +341,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_restarts=True):
+    def add_common(p):
         p.add_argument("--state", help="path to a JSON state file")
         p.add_argument("--builtin", help="builtin state spec, e.g. bell, "
                        "max-entangled:3, werner:0.5, isotropic:3:0.7, product, "
                        "random-pure:7")
         p.add_argument("--dims", help="subsystem dims as AxB (builtins only)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--out", help="also write the report/table here")
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="report output format")
-        if with_restarts:
-            p.add_argument("--restarts", type=int, default=None,
-                           help="seeded random restarts per search, 1 to "
-                           f"{RESTART_CAP}")
+
+    def add_restarts(p):
+        p.add_argument("--restarts", type=int, default=None,
+                       help=f"seeded random restarts per search, 1 to {RESTART_CAP}")
 
     p = sub.add_parser("kd-dist", help="emit a quasiprobability table as CSV")
-    add_common(p, with_restarts=False)
+    add_common(p)
     p.set_defaults(format="csv")  # tables default to CSV; reports to JSON
     p.add_argument("--basis-a", default="computational")
     p.add_argument("--basis-b", default="computational")
@@ -392,12 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixed", help="convex-roof entanglement for a mixed state")
     add_common(p)
+    add_restarts(p)
+    p.add_argument("--tol", type=float, default=OptimizerConfig.tol,
+                   help="roof slack: the value may pass the marginal-entropy "
+                   "ceiling or the certified floor by max(tol, 1e-6)")
     p.add_argument("--terms", type=int, default=None,
                    help="decomposition size (default min(2*rank, 16), at most 16)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("bounds", help="lower/upper bound report")
     add_common(p)
+    add_restarts(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -411,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-sim", help="sampled estimation of the pure-state value")
     add_common(p)
+    add_restarts(p)
     p.add_argument("--shots", type=int, default=10**6,
                    help="shots per preparation cell (floor 1000)")
     p.add_argument("--records", help="CSV path for the final shot records")
@@ -423,7 +411,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # the reader has gone: nothing to say, and the interpreter's final
+        # flush of the buffered report must land somewhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except BasisPairSingular as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

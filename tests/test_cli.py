@@ -2,14 +2,16 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kdentangle as ke
-from kdentangle import cli, entanglement, optimize
+from kdentangle import cli, entanglement, optimize, verify
 
 RUN = [sys.executable, "-m", "kdentangle"]
 # the child imports the package this session imported, installed or not
@@ -257,6 +259,128 @@ def test_outputs_deterministic(tmp_path):
         runs.append(strip_timing(res.stdout).replace(name, "RECORDS"))
     assert runs[0] == runs[1]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_missing_state_file_is_input_error(tmp_path, capsys):
+    assert cli.main(["pure", "--state", str(tmp_path / "absent.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_141_silently(buffered):
+    # the reader end is closed before the child starts, so every write to
+    # its stdout fails; a buffered stdout fails only when flushed
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(RUN + ["pure", "--builtin", "bell"], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 141
+    assert res.stderr == ""
+
+
+REPORT_KEYS = {
+    "pure": (
+        ["pure", "--builtin", "bell"],
+        ["command", "dims", "value", "normalized", "schmidt_rank", "concurrence",
+         "entropy_of_entanglement", "seed", "wall_time_s"],
+    ),
+    "mixed": (
+        ["mixed", "--builtin", "bell", "--restarts", "1"],
+        ["command", "dims", "value", "normalized", "probabilities", "pure_states",
+         "diagnostics", "seed", "tol", "restarts", "terms", "wall_time_s"],
+    ),
+    "bounds": (
+        ["bounds", "--builtin", "werner:0.0", "--restarts", "1"],
+        ["command", "dims", "lower", "upper", "lower_swapped", "upper_swapped",
+         "best_lower", "best_upper", "certified_lower", "seed", "restarts",
+         "wall_time_s"],
+    ),
+    "weak-sim": (
+        ["weak-sim", "--builtin", "bell", "--shots", "1000", "--restarts", "1"],
+        ["command", "dims", "estimate", "best_basis_estimate", "reference",
+         "deviation", "shots_per_cell", "records", "diagnostics", "seed",
+         "restarts", "wall_time_s"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_keys(command, tmp_path, monkeypatch, capsys):
+    argv, keys = REPORT_KEYS[command]
+    monkeypatch.chdir(tmp_path)  # weak-sim writes its shot records here
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == keys
+    assert report["command"] == command
+
+
+@pytest.mark.parametrize("argv", [
+    ["pure", "--builtin", "bell", "--tol", "1e-3"],
+    ["pure", "--builtin", "bell", "--restarts", "3"],
+    ["kd-dist", "--builtin", "bell", "--tol", "1e-3"],
+    ["bounds", "--builtin", "bell", "--tol", "1e-3"],
+    ["weak-sim", "--builtin", "bell", "--tol", "1e-3"],
+])
+def test_unread_options_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def _no_suite(**kwargs):
+    raise AssertionError("a suite ran")
+
+
+@pytest.mark.parametrize("suite,option,value", [
+    ("roof", "--count", "1"),
+    ("roof", "--dims", "2x2"),
+    ("weak", "--count", "1"),
+    ("weak", "--dims", "2x2"),
+    ("prop5", "--dims", "2x2"),
+    ("concurrence", "--dims", "2x2"),
+])
+def test_verify_rejects_option_suite_ignores(suite, option, value, monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, suite, _no_suite)
+    assert cli.main(["verify", "--suite", suite, option, value]) == 2
+    err = capsys.readouterr().err
+    assert option in err and suite in err
+
+
+def test_verify_all_passes_options_to_suites_that_take_them(monkeypatch, capsys):
+    seen = {}
+    for name in verify.SUITES:
+        def record(name=name, **kwargs):
+            seen[name] = kwargs
+            return verify.SuiteResult(name, True, 0.0, "stub", 0.0)
+        monkeypatch.setitem(verify.SUITES, name, record)
+    assert cli.main(["verify", "--count", "3", "--dims", "2x2", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.count(": PASS") == len(verify.SUITES)
+    for name, kwargs in seen.items():
+        assert kwargs.pop("seed") == 5
+        assert ("dims" in kwargs) == (name in verify.DIMS_AWARE)
+        count_key = verify.COUNT_KEYWORD.get(name)
+        assert kwargs.pop(count_key, 3) == 3
+        assert set(kwargs) <= {"dims"}
+
+
+def test_readme_commands_parse():
+    # every CLI line in the README must be one the parser accepts; nothing runs
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("kdentangle ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func)
 
 
 def test_state_and_builtin_conflict():
