@@ -87,14 +87,22 @@ def _parse_dims(text: str) -> BipartiteDims:
 
 
 def _resolve_state(args):
+    """The state of ``--state`` or ``--builtin``. ``--dims`` sizes the
+    builtins that take a size, and any state whose dims differ from it is
+    rejected rather than silently run at its own dims."""
     if args.state and args.builtin:
         raise BadSpec("provide either --state or --builtin, not both")
     dims = _parse_dims(args.dims) if args.dims else None
     if args.state:
-        return load_state(args.state)
-    if args.builtin:
-        return make_state(args.builtin, dims=dims, seed=args.seed)
-    raise BadSpec("provide a state via --state or --builtin")
+        state = load_state(args.state)
+    elif args.builtin:
+        state = make_state(args.builtin, dims=dims, seed=args.seed)
+    else:
+        raise BadSpec("provide a state via --state or --builtin")
+    if dims is not None and state.dims != dims:
+        raise BadSpec(f"--dims {dims.da}x{dims.db} does not match the state's "
+                      f"dims {state.dims.da}x{state.dims.db}")
+    return state
 
 
 def _as_density(state) -> DensityOperator:
@@ -346,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--builtin", help="builtin state spec, e.g. bell, "
                        "max-entangled:3, werner:0.5, isotropic:3:0.7, product, "
                        "random-pure:7")
-        p.add_argument("--dims", help="subsystem dims as AxB (builtins only)")
+        p.add_argument("--dims", help="subsystem dims as AxB: sizes the max-entangled, "
+                       "product and random-pure builtins; any other state must "
+                       "match it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="also write the report/table here")
         p.add_argument("--format", choices=["json", "csv"], default="json",

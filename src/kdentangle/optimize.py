@@ -11,7 +11,11 @@ pairs, each round one matrix. Zero angles materialize the identity.
 The descent is an in-house adaptive Nelder-Mead written with numpy alone. It
 reproduces scipy 1.17.1's ``minimize(method="Nelder-Mead", adaptive=True)``
 iterate for iterate, so the package needs no scipy, and its import does not
-pay for ``scipy.optimize``.
+pay for ``scipy.optimize``. Each descent remembers the values of its last
+``2(n+1)`` evaluated points: once the simplex has collapsed, reflections and
+shrinks land exactly on vertices it has already evaluated, and a sampled
+objective would redraw the same records there. Objectives must therefore be
+deterministic functions of the angle bytes.
 
 The convex-roof objective is the plain sum of a weighted pure-state
 functional over the unnormalized decomposition rows ``sqrt(p_k) psi_k``, so it
@@ -124,6 +128,24 @@ def _sorted(sim, fsim):
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
+def _memoized(fun, size):
+    """``fun`` behind a first-in, first-out memo of its values at the last
+    ``size`` distinct points, keyed by the points' bytes. A point still held
+    takes its stored value; a new point evicts the oldest one when the memo
+    is full. Hits do not refresh a point's age."""
+    memo = {}
+
+    def evaluate(x):
+        key = x.tobytes()
+        if key not in memo:
+            if len(memo) >= size:
+                del memo[next(iter(memo))]
+            memo[key] = fun(x)
+        return memo[key]
+
+    return evaluate
+
+
 def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259 (2012))
     from ``x0`` and its ``SIMPLEX_SCALE`` steps along each axis.
@@ -136,6 +158,13 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     scipy's bit for bit. As there, ``nit`` starts at 1 and a run that reaches
     ``max_iters`` reports no success. ``fun`` must not modify its argument.
 
+    Trial points are looked up by their bytes in a memo of the last
+    ``2(n+1)`` evaluated points (``_memoized``), and ``fun`` runs only on
+    a point not held there, so ``fun`` must be deterministic. ``nfev`` stays
+    scipy's count of trial points, repeats included; the real calls of
+    ``fun`` can be fewer. The memo holds at most ``2(n+1)`` keys of ``8n``
+    bytes each, about 2 KB per key at ``ROOF_CAP``.
+
     The name is the hook that the benchmark tracer (``bench/tracer.py``) and
     the tests patch to see each start; it stays until a benchmark change
     renames it.
@@ -144,6 +173,7 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     chi = 1 + 2 / n
     psi = 0.75 - 1 / (2 * n)
     sigma = 1 - 1 / n
+    fun = _memoized(fun, 2 * (n + 1))
     sim = np.tile(x0, (n + 1, 1))
     sim[1:, :] += np.eye(n) * SIMPLEX_SCALE
     fsim = np.array([fun(x) for x in sim], dtype=float)

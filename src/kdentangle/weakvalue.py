@@ -11,9 +11,11 @@ Both preparations of every first-basis outcome, and their Born distributions,
 are built in one stacked pass per evaluation. The multinomial draws stay one
 per (outcome, preparation) cell, each from its own generator seeded by a hash
 of the master seed, the cell's second basis, the outcome and the
-preparation, so records do not depend on evaluation order. Every draw goes
-through one entry that rejects shot counts above ``SHOTS_CAP``, the largest
-count an int64 holds.
+preparation, so records do not depend on evaluation order. The generator
+takes the digest as its little-endian 32-bit words, which seed the same
+stream as the digest's integer value at less cost. Every draw goes through
+one entry that rejects shot counts above ``SHOTS_CAP``, the largest count an
+int64 holds.
 """
 
 import hashlib
@@ -58,10 +60,25 @@ SHOTS_CAP = int(np.iinfo(np.int64).max)
 PREPARATIONS = ("state", "measured")
 
 
-def derived_seeds(master: int, basis: np.ndarray, x: int) -> list[int]:
+_ZERO_WORD = bytes(4)
+
+
+def _seed_words(digest: bytes) -> np.ndarray:
+    """The little-endian ``uint32`` words of ``digest``, trailing zero words
+    trimmed but at least one kept: the words ``SeedSequence`` makes of the
+    integer ``int.from_bytes(digest, "little")``, so both seed the same
+    stream, without the integer's conversion."""
+    end = len(digest)
+    while end > 4 and digest[end - 4:end] == _ZERO_WORD:
+        end -= 4
+    return np.frombuffer(digest, dtype="<u4", count=end // 4)
+
+
+def derived_seeds(master: int, basis: np.ndarray, x: int) -> list[np.ndarray]:
     """Deterministic seeds of the two preparations of first-basis outcome
     ``x``, hashed from the measurement setting, so sampling results do not
-    depend on evaluation order."""
+    depend on evaluation order. Each seed is the ``_seed_words`` of a 16-byte
+    digest."""
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(int(master)).encode())
     h.update(np.ascontiguousarray(basis).tobytes())
@@ -70,12 +87,14 @@ def derived_seeds(master: int, basis: np.ndarray, x: int) -> list[int]:
     for prep in range(len(PREPARATIONS)):
         hp = h.copy()
         hp.update(prep.to_bytes(2, "little", signed=False))
-        seeds.append(int.from_bytes(hp.digest(), "little"))
+        seeds.append(_seed_words(hp.digest()))
     return seeds
 
 
-def _draw(seed: int, shots: int, probs: np.ndarray) -> np.ndarray:
-    """Multinomial outcome counts of ``shots`` draws; every sampler draws here."""
+def _draw(seed, shots: int, probs: np.ndarray) -> np.ndarray:
+    """Multinomial outcome counts of ``shots`` draws; every sampler draws here.
+    ``seed`` is anything ``np.random.default_rng`` takes: a user's int, or a
+    cell's ``_seed_words``."""
     if shots > SHOTS_CAP:
         raise BadSpec(f"shots {shots} exceed the int64 count cap {SHOTS_CAP}")
     return np.random.default_rng(seed).multinomial(shots, probs)

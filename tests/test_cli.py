@@ -393,6 +393,26 @@ def test_unknown_builtin():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("source, dims", [
+    ("state", "3x3"), ("bell", "3x3"), ("max-entangled:3", "2x2"),
+])
+def test_dims_that_differ_from_the_state_are_rejected(source, dims, tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    ke.save_state(ke.bell_state(), path)
+    spec = ["--state", str(path)] if source == "state" else ["--builtin", source]
+    assert cli.main(["pure", *spec, "--dims", dims]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--dims {dims} does not match" in err
+
+
+def test_dims_matching_a_state_file_run(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    ke.save_state(ke.haar_pure(ke.BipartiteDims(2, 3), 4), path)
+    assert cli.main(["pure", "--state", str(path), "--dims", "2x3"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [2, 3]
+
+
 SCIPY_PROBE = """
 import runpy, sys
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

@@ -59,6 +59,19 @@ def test_pure_entanglement_examples():
     assert abs(me3.normalized - 1.0) < 1e-12
 
 
+def test_normalized_value_at_most_concurrence():
+    # the paper's bound by the concurrence: with Schmidt rank d, Cauchy-Schwarz
+    # gives sum sqrt(l (1 - l)) <= sqrt(d (1 - sum l^2)), so the normalized
+    # value never exceeds the concurrence (equality on two qubits is
+    # test_two_qubit_normalized_equals_concurrence)
+    for d in range(2, 6):
+        for db in (d, d + 1):
+            for seed in range(20):
+                rep = ke.pure_entanglement(ke.haar_pure(ke.BipartiteDims(d, db), 1000 * d + seed))
+                assert rep.schmidt_rank == d
+                assert rep.normalized <= rep.concurrence + 1e-12
+
+
 def test_entropy_from_concurrence():
     assert ke.entropy_from_concurrence(0.0) == 0.0
     assert abs(ke.entropy_from_concurrence(1.0) - 1.0) < 1e-12
@@ -266,7 +279,7 @@ def test_two_qubit_normalized_equals_concurrence():
     for _ in range(50):
         state = ke.haar_pure(ke.BipartiteDims(2, 2), rng)
         rep = ke.pure_entanglement(state)
-        assert abs(rep.normalized - rep.concurrence) < 1e-9
+        assert abs(rep.normalized - rep.concurrence) <= 1e-12
 
 
 def test_convexity_spot_check():

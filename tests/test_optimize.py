@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import kdentangle as ke
-from kdentangle import entanglement, linalg, optimize
+from kdentangle import entanglement, linalg, optimize, weakvalue
 from kdentangle.errors import BadParamCount, BadSpec
 from kdentangle.optimize import ROOF_CAP, angle_count
 
@@ -307,8 +309,9 @@ def test_nelder_mead_matches_scipy_on_package_searches(monkeypatch):
     entanglement.minimized_nonreality(ke.haar_pure(ke.BipartiteDims(3, 3), 4).density(), short)
     entanglement.asymmetry_lower_bound(
         ke.random_mixed(ke.BipartiteDims(2, 3), 2, 6), "B", short)
+    weakvalue.sampled_entanglement(ke.bell_state(), 10**4, short)
     # two starts per roof, three per basis search
-    assert len(runs) == 2 * 3 + 3 * 2
+    assert len(runs) == 2 * 3 + 3 * 3
     assert any(run.success for run in runs) and not all(run.success for run in runs)
 
 
@@ -333,3 +336,58 @@ def test_nelder_mead_matches_scipy_at_the_iteration_cap():
         if max_iters == 1:
             # the first iteration is the initial simplex alone
             assert res.nfev == x0.size + 1
+
+
+def noisy_bowl(x):
+    """A smooth bowl plus a deterministic 1e-3 jitter hashed from the bytes of
+    ``x``: as with sampled statistics, the jitter keeps vertex values apart
+    after the simplex has collapsed, so the descent goes on and reflections
+    and shrinks land on vertices evaluated before."""
+    jitter = int.from_bytes(hashlib.blake2b(x.tobytes(), digest_size=8).digest(), "little")
+    return float(x @ x + 1e-3 * jitter / 2**64)
+
+
+def counting(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(x.tobytes())
+        return fun(x)
+
+    return counted, calls
+
+
+def fifo_calls(points, size):
+    """Reference: the points a first-in, first-out memo of ``size`` points
+    passes on to the objective, in order."""
+    held, calls = [], []
+    for point in points:
+        if point not in held:
+            if len(held) == size:
+                held.pop(0)
+            held.append(point)
+            calls.append(point)
+    return calls
+
+
+def test_nelder_mead_matches_scipy_on_a_noisy_objective():
+    # scipy evaluates every trial point, so its calls are the sequence the
+    # memo sees. The iterates must match scipy's, and the real calls must be
+    # those a memo of exactly 2(n+1) points passes on. On two angles a memo
+    # one point smaller or larger passes on another sequence; on three,
+    # repeats come back within 2(n+1) points, so only a smaller memo does
+    for x0, sizes in ((np.array([1.0, -0.5]), (-1, 1)), (np.array([0.3, 2.0, -1.0]), (-1,))):
+        fun, calls = counting(noisy_bowl)
+        ours = optimize._scipy_minimize(fun, x0, max_iters=300)
+        ref_fun, trial_points = counting(noisy_bowl)
+        ref = scipy_reference(ref_fun, x0, 300)
+        assert np.array_equal(ours.x, ref.x)
+        assert (ours.fun, ours.nit, ours.nfev, ours.success) == (
+            ref.fun, ref.nit, ref.nfev, ref.success)
+        assert len(trial_points) == ours.nfev
+        size = 2 * (x0.size + 1)
+        assert calls == fifo_calls(trial_points, size)
+        for step in sizes:
+            assert calls != fifo_calls(trial_points, size + step)
+        # repeats were served, and evicted points were evaluated again
+        assert len(set(calls)) < len(calls) < ours.nfev

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kdentangle as ke
-from kdentangle import linalg
+from kdentangle import linalg, weakvalue
 from kdentangle.errors import BadSpec
 
 EYE2 = np.eye(2, dtype=complex)
@@ -218,6 +218,20 @@ def test_stacked_sampling_matches_per_cell_reference(dims, seed, rank, shots):
         est = ke.estimate_kd_imag(rho, basis_a, basis_y, x, y, shots, seed + trial)
         assert (est.value.imag, est.std_error_im) == _ref_estimate(
             rho, basis_a, basis_y, x, y, shots, seed + trial)
+
+
+@pytest.mark.parametrize("zero_words", [0, 1, 3, 4])
+def test_seed_words_draw_the_stream_of_the_digest_integer(zero_words):
+    # the integer seed drops zero high words; the word seed must drop them too
+    rng = np.random.default_rng(90 + zero_words)
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    for _ in range(50):
+        digest = rng.bytes(16 - 4 * zero_words) + bytes(4 * zero_words)
+        words = weakvalue._seed_words(digest)
+        assert words.size == max(1, (int.from_bytes(digest, "little").bit_length() + 31) // 32)
+        expect = np.random.default_rng(int.from_bytes(digest, "little"))
+        assert np.array_equal(np.random.default_rng(words).multinomial(10**6, probs),
+                              expect.multinomial(10**6, probs))
 
 
 def test_shots_beyond_int64_rejected():
