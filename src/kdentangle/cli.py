@@ -29,6 +29,7 @@ from .states import (
     BipartiteDims,
     BipartitePureState,
     DensityOperator,
+    _pairs_to_complex,
     load_state,
     make_state,
 )
@@ -151,10 +152,12 @@ def _basis_from_spec(spec: str, dim: int) -> np.ndarray:
         raise BadSpec(f"unknown basis spec or unreadable file {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadSpec(f"basis file {spec!r} is not valid JSON: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+    except RecursionError as exc:
+        raise BadSpec(f"basis file {spec!r} nests its JSON too deeply") from exc
+    m = _pairs_to_complex(data, f"basis file {spec!r}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadSpec(f"basis file {spec!r} must hold a square grid of [re, im] pairs")
-    m = (arr[..., 0] + 1j * arr[..., 1]).T  # file rows are kets; columns internally
+    m = m.T  # file rows are kets; columns internally
     if m.shape[0] != dim:
         raise BadSpec(f"basis dimension {m.shape[0]} != expected {dim}")
     gram = linalg.dagger(m) @ m

@@ -3,6 +3,7 @@ closed form for pure states, convex-roof extension for mixed states,
 uncertainty-style lower/upper bounds, and the measurement-disturbance form.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -135,11 +136,15 @@ def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
 # trace-norm asymmetry lower bound
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _sign_patterns(d: int) -> np.ndarray:
     """Vertices of the eigenvalue hypercube with the first sign fixed and the
-    trivial all-equal vertex dropped (its commutator vanishes), one per row."""
+    trivial all-equal vertex dropped (its commutator vanishes), one per row;
+    built once per ``d`` and read-only."""
     tails = list(itertools.product((1.0, -1.0), repeat=d - 1))[1:]
-    return np.array([(1.0,) + tail for tail in tails])
+    patterns = np.array([(1.0,) + tail for tail in tails])
+    patterns.setflags(write=False)
+    return patterns
 
 
 def _pattern_dim(dims: BipartiteDims, side: str) -> int:
@@ -196,7 +201,7 @@ def certified_lower(rho: DensityOperator) -> float:
     da, db = rho.dims.as_tuple()
     pt = rho.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, -1)
     m = min(da, db)
-    return max(0.0, (linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1)))
+    return max(0.0, float((linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1))))
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,9 @@ def _marginal_entropy_functional(dims: BipartiteDims):
         minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
         minors = minors.reshape(len(m), -1).view(float)
         det = 0.5 * (minors * minors).sum(axis=-1)
-        return np.where(det < SNAP * norm2**2, 0.0, 2.0 * np.sqrt(det))
+        out = 2.0 * np.sqrt(det)
+        out[det < SNAP * norm2**2] = 0.0
+        return out
 
     return functional
 

@@ -5,6 +5,8 @@ dense; the package targets total dimensions well below ~64, where LAPACK's
 dense routines are both the fastest and the most robust option.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
@@ -73,6 +75,14 @@ def commutator_trace_norm(x, rho):
     return hermitian_trace_norm(1j * c)
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """Read-only real ``d x d`` identity, built once per ``d``."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def embed_local(ops, dims, side: str = "A") -> np.ndarray:
     """Full operators ``X_k (x) I_B`` (``side="A"``) or ``I_A (x) X_k``
     (``side="B"``) for a stack ``ops`` of local operators ``(k, d, d)``.
@@ -94,9 +104,9 @@ def embed_local(ops, dims, side: str = "A") -> np.ndarray:
     # out[k, a, b, a', b'] = ops[k, a, a'] * I[b, b'] or I[a, a'] * ops[k, b, b'];
     # the operand order is np.kron's, so signed zeros come out the same
     if side == "A":
-        out = ops[:, :, None, :, None] * np.eye(db)[:, None, :]
+        out = ops[:, :, None, :, None] * _identity(db)[:, None, :]
     else:
-        out = np.eye(da)[:, None, :, None] * ops[:, None, :, None, :]
+        out = _identity(da)[:, None, :, None] * ops[:, None, :, None, :]
     return out.reshape(ops.shape[0], da * db, da * db)
 
 

@@ -123,11 +123,6 @@ class SimplexResult:
     success: bool
 
 
-def _sorted(sim, fsim):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
 def _memoized(fun, size):
     """``fun`` behind a first-in, first-out memo of its values at the last
     ``size`` distinct points, keyed by the points' bytes. A point still held
@@ -152,11 +147,16 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
 
     The steps are those of scipy 1.17.1's ``_minimize_neldermead`` with
     ``adaptive=True``, that initial simplex, ``maxiter=max_iters``,
-    ``xatol=XATOL``, ``fatol=FATOL`` and no evaluation limit, written with the
-    same numpy expressions and the same ``argsort`` re-sorts, so every iterate
-    and the returned ``x``, ``fun``, ``nit``, ``nfev`` and ``success`` equal
-    scipy's bit for bit. As there, ``nit`` starts at 1 and a run that reaches
-    ``max_iters`` reports no success. ``fun`` must not modify its argument.
+    ``xatol=XATOL``, ``fatol=FATOL`` and no evaluation limit. Every arithmetic
+    operation is scipy's, on the same operands in the same order, and the
+    re-sorts are the same default ``argsort``, so tied vertices keep scipy's
+    order; every iterate and the returned ``x``, ``fun``, ``nit``, ``nfev``
+    and ``success`` equal scipy's bit for bit. The code itself differs: it
+    calls ndarray methods rather than their slower module-level wrappers, and
+    tests the spread of the values before that of the vertices (both pure
+    tests, so it stops at the same iteration). As there, ``nit`` starts at 1
+    and a run that reaches ``max_iters`` reports no success. ``fun`` must not
+    modify its argument.
 
     Trial points are looked up by their bytes in a memo of the last
     ``2(n+1)`` evaluated points (``_memoized``), and ``fun`` runs only on
@@ -178,11 +178,13 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     sim[1:, :] += np.eye(n) * SIMPLEX_SCALE
     fsim = np.array([fun(x) for x in sim], dtype=float)
     nfev = n + 1
-    sim, fsim = _sorted(*_sorted(sim, fsim))
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     nit = 1
     while nit < max_iters:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+        if (abs(fsim[0] - fsim[1:]).max() <= FATOL
+                and abs(sim[1:] - sim[0]).max() <= XATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
@@ -217,8 +219,9 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
             fsim[1:] = [fun(x) for x in sim[1:]]
             nfev += n
         nit += 1
-        sim, fsim = _sorted(sim, fsim)
-    return SimplexResult(sim[0], float(np.min(fsim)), nit, nfev, nit < max_iters)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return SimplexResult(sim[0], float(fsim.min()), nit, nfev, nit < max_iters)
 
 
 def _multistart(starts, config: OptimizerConfig):
@@ -347,7 +350,7 @@ def minimize_convex_roof(rho: DensityOperator, weighted_functional,
     pure_states = [BipartitePureState(rho.dims, row / np.linalg.norm(row))
                    for row in psi[kept]]
     if abs(probs.sum() - 1.0) > 1e-9:
-        raise OptimizerFailed(f"decomposition weights sum to {probs.sum()!r}")
+        raise OptimizerFailed(f"decomposition weights sum to {float(probs.sum())!r}")
     if linalg.trace_norm(psi.T @ psi.conj() - rho.matrix) > 1e-8:
         raise OptimizerFailed("decomposition does not reassemble the input state")
     return ConvexRoofResult(best_val, probs, pure_states, diag, k_terms)

@@ -62,7 +62,7 @@ class BipartitePureState:
             raise BadSpec("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
-            raise BadSpec(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
+            raise BadSpec(f"state norm {float(norm)!r} deviates from 1 beyond {NORM_TOL:g}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def matrix(self) -> np.ndarray:
@@ -91,7 +91,7 @@ class DensityOperator:
         if np.abs(m - linalg.dagger(m)).max() > 1e-10:
             raise BadSpec("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise BadSpec(f"trace {np.trace(m)!r} deviates from 1 beyond 1e-10")
+            raise BadSpec(f"trace {complex(np.trace(m))!r} deviates from 1 beyond 1e-10")
         w = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)
         if w[0] < -1e-10:
             raise BadSpec(f"negative eigenvalue {w[0]:.3e} below -1e-10")
@@ -313,11 +313,15 @@ def _reject_constant(token):
 
 
 def _pairs_to_complex(data, shape_desc: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise BadSpec(f"data must be nested [re, im] pairs of numbers for {shape_desc}: "
+                      f"{exc}") from exc
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise BadSpec(f"data must be nested [re, im] pairs for {shape_desc}")
     if not np.isfinite(arr).all():
-        raise BadSpec("non-finite value in state file data")
+        raise BadSpec(f"non-finite value in the data for {shape_desc}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -347,7 +351,7 @@ def state_from_json(obj: dict):
             raise BadSpec(f"data length {amps.size} != dims product {dims.total}")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > FILE_TOL:
-            raise BadSpec(f"norm {norm!r} deviates from 1 beyond {FILE_TOL:g}")
+            raise BadSpec(f"norm {float(norm)!r} deviates from 1 beyond {FILE_TOL:g}")
         return BipartitePureState(dims, amps / norm)
     if kind == "density":
         m = _pairs_to_complex(obj["data"], "a density matrix")
@@ -358,7 +362,7 @@ def state_from_json(obj: dict):
         m = (m + linalg.dagger(m)) / 2
         tr = np.trace(m).real
         if abs(tr - 1.0) > FILE_TOL:
-            raise BadSpec(f"trace {tr!r} deviates from 1 beyond {FILE_TOL:g}")
+            raise BadSpec(f"trace {float(tr)!r} deviates from 1 beyond {FILE_TOL:g}")
         w, v = np.linalg.eigh(m)
         if w[0] < -FILE_TOL:
             raise BadSpec(f"negative eigenvalue {w[0]:.3e} below -1e-8")
@@ -388,6 +392,8 @@ def load_state(path):
             obj = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise BadSpec(f"state file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise BadSpec("state file nests its JSON too deeply") from exc
     return state_from_json(obj)
 
 

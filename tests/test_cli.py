@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kdentangle as ke
-from kdentangle import cli, entanglement, optimize, verify
+from kdentangle import cli, entanglement, optimize, states, verify
 
 RUN = [sys.executable, "-m", "kdentangle"]
 # the child imports the package this session imported, installed or not
@@ -264,6 +266,76 @@ def test_outputs_deterministic(tmp_path):
 def test_missing_state_file_is_input_error(tmp_path, capsys):
     assert cli.main(["pure", "--state", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    ("[[{}, 0], [0, 0], [0, 0], [0, 0]]", "pairs of numbers"),
+    ("[[-1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]", "pairs of numbers"),
+    ("[" * 100_000 + "]" * 100_000, "too deeply"),
+], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep"])
+def test_malformed_state_data_is_input_error(data, message, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"dims": [2, 2], "kind": "pure", "data": ' + data + "}")
+    assert cli.main(["pure", "--state", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    ("[[[1, 0], [{}, 0]], [[0, 0], [1, 0]]]", "pairs of numbers"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [-1" + "0" * 400 + ", 0]]]", "pairs of numbers"),
+    ("[" * 100_000 + "]" * 100_000, "too deeply"),
+], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep"])
+def test_malformed_basis_file_is_input_error(data, message, tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text(data)
+    assert cli.main(["kd-dist", "--builtin", "bell", "--basis-a", str(path),
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers()
+                | st.integers(0, 400).map(lambda e: -10**e))
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+json_values = st.recursive(json_scalars, json_containers, max_leaves=20)
+amplitude_pairs = st.lists(st.lists(st.floats(-1.5, 1.5) | json_values, min_size=1, max_size=3),
+                           max_size=9)
+SAVED_STATES = (ke.bell_state(), ke.bell_state().density(), ke.werner_state(0.5),
+                ke.haar_pure(ke.BipartiteDims(2, 3), 1))
+
+
+@st.composite
+def edited_state_files(draw):
+    """A saved state's file object, left whole or with one node (a field, a
+    row, an entry or a number) replaced by any JSON value."""
+    obj = states.state_to_json(draw(st.sampled_from(SAVED_STATES)))
+    parent, key = obj, draw(st.sampled_from(["dims", "kind", "data"]))
+    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    if draw(st.booleans()):
+        parent[key] = draw(json_values)
+    return obj
+
+
+state_objects = json_values | edited_state_files() | st.fixed_dictionaries({
+    "dims": st.lists(st.integers(-1, 9), min_size=2, max_size=2) | json_values,
+    "kind": st.sampled_from(["pure", "density"]) | json_values,
+    "data": amplitude_pairs | st.lists(amplitude_pairs, max_size=4) | json_values,
+})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=state_objects)
+def test_fuzzed_state_files_end_in_an_answer_or_input_error(obj, tmp_path):
+    # any JSON object in a state file gives a report or exit 2, never a traceback
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["pure", "--state", str(path)]) in (0, 2)
 
 
 @pytest.mark.parametrize("buffered", [True, False])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdentangle as ke
-from kdentangle import entanglement
+from kdentangle import entanglement, linalg
 from kdentangle.errors import DimensionMismatch, DomainError, NotPSD, OptimizerFailed
 
 EYE2 = np.eye(2, dtype=complex)
@@ -372,3 +372,80 @@ def test_roof_functional_matches_eigvalsh(dims, k, seed):
     a, u = np.linalg.qr(gauss(da, da))[0], np.linalg.qr(gauss(db, db))[0]
     entangled = (np.outer(a[:, 0], u[:, 0]) + np.outer(a[:, 1], u[:, 1])) / np.sqrt(2)
     assert abs(functional(entangled.reshape(1, -1))[0] - 1.0) <= 1e-14
+
+
+def where_form_functional(dims):
+    """The weighted functional as written with ``np.where`` on the
+    2-dimensional side: the reference its masked-assignment form must match
+    bit for bit."""
+    da, db = dims.da, dims.db
+
+    def functional(rows):
+        rows = np.asarray(rows, dtype=complex)
+        norm2 = np.einsum("ij,ij->i", np.conj(rows), rows).real
+        m = rows.reshape(-1, da, db)
+        if db == 2:
+            m = m.transpose(0, 2, 1)
+        if m.shape[1] != 2:
+            w = np.linalg.svd(m, compute_uv=False) ** 2
+            w[w < entanglement.SNAP * norm2[:, None]] = 0.0
+            return np.sqrt(w * (w.sum(axis=-1, keepdims=True) - w)).sum(axis=-1)
+        outer = m[:, 0, :, None] * m[:, 1, None, :]
+        minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
+        minors = minors.reshape(len(m), -1).view(float)
+        det = 0.5 * (minors * minors).sum(axis=-1)
+        return np.where(det < entanglement.SNAP * norm2**2, 0.0, 2.0 * np.sqrt(det))
+
+    return functional
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_roof_functional_equals_where_form(da, db):
+    dims = ke.BipartiteDims(da, db)
+    rng = np.random.default_rng(da * 10 + db)
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    product = (gauss(40, da)[:, :, None] * gauss(40, db)[:, None, :]).reshape(40, -1)
+    rows = np.concatenate([gauss(40, da * db), product, np.zeros((5, da * db))])
+    rows = rows[rng.permutation(len(rows))]
+    values = entanglement._marginal_entropy_functional(dims)(rows)
+    assert np.array_equal(values, where_form_functional(dims)(rows))
+
+
+def test_cached_constants_are_read_only():
+    for d in (2, 3, 5):
+        patterns = entanglement._sign_patterns(d)
+        assert patterns is entanglement._sign_patterns(d)
+        assert not patterns.flags.writeable
+        eye = linalg._identity(d)
+        assert eye is linalg._identity(d)
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+
+def mub_vectors(d):
+    """The ``d (d + 1)`` vectors of ``d + 1`` mutually unbiased bases at odd
+    prime ``d``: the computational basis and ``omega^(c k^2 + j k) / sqrt(d)``
+    for every ``c, j``."""
+    k = np.arange(d)
+    omega = np.exp(2j * np.pi / d)
+    phased = [omega ** ((c * k * k + j * k) % d) / np.sqrt(d)
+              for c in range(d) for j in range(d)]
+    return np.concatenate([np.eye(d, dtype=complex), np.array(phased)])
+
+
+@pytest.mark.parametrize("d, fidelity", [(3, 0.5), (3, 0.7), (5, 0.9)])
+def test_isotropic_mub_witness(d, fidelity):
+    # sqrt(a) |Phi_d> plus equal-weight products |s>|s*> over the MUB vectors
+    # decompose the isotropic state; the product rows score exactly 0, so the
+    # decomposition scores a sqrt(d - 1), an upper bound on the roof
+    a = (d * fidelity - 1) / (d - 1)
+    s = mub_vectors(d)
+    products = (s[:, :, None] * s.conj()[:, None, :]).reshape(len(s), -1)
+    rows = np.concatenate([np.sqrt(a) * ke.max_entangled(d).amplitudes[None, :],
+                           np.sqrt((1 - a) / (d * (d + 1))) * products])
+    rho = ke.isotropic_state(d, fidelity)
+    assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-14
+    value = entanglement._marginal_entropy_functional(rho.dims)(rows).sum()
+    assert abs(value - a * np.sqrt(d - 1)) <= 1e-12
+    assert ke.certified_lower(rho) <= value

@@ -326,6 +326,19 @@ def test_nelder_mead_matches_scipy_through_shrink_steps():
     assert res.nfev > x0.size + 1 + 2 * (res.nit - 1)
 
 
+def test_nelder_mead_matches_scipy_on_tied_vertex_values():
+    # a staircase objective: many vertices share a value, so the order in
+    # which the re-sorts leave tied vertices steers the descent. A stable sort
+    # changes the 5-angle descent, and reversing the ties the 3-angle one
+    def stairs(x):
+        return float(np.floor(4 * x @ x))
+
+    for x0, max_iters, counts in ((np.ones(3), 500, (56, 219)),
+                                  (np.array([0.3, -1.2, 0.8, 2.0, -0.5]), 800, (95, 529))):
+        res = assert_matches_scipy(optimize._scipy_minimize, stairs, x0, max_iters)
+        assert (res.nit, res.nfev) == counts
+
+
 def test_nelder_mead_matches_scipy_at_the_iteration_cap():
     scales = np.diag([1.0, 4.0, 25.0])
     x0 = np.array([1.0, -2.0, 0.5])
