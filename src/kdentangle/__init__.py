@@ -68,6 +68,7 @@ from .states import (
     haar_unitary,
     isotropic_state,
     load_state,
+    make_basis,
     make_state,
     max_entangled,
     product_state,

@@ -25,14 +25,7 @@ from .entanglement import (
 )
 from .errors import BadSpec, BasisPairSingular, KdToolError, OptimizerFailed
 from .optimize import RESTART_CAP, OptimizerConfig
-from .states import (
-    BipartiteDims,
-    BipartitePureState,
-    DensityOperator,
-    _pairs_to_complex,
-    load_state,
-    make_state,
-)
+from .states import BipartiteDims, as_density, as_pure, load_state, make_basis, make_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,7 +35,6 @@ EXIT_OPTIMIZER = 4
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 VERIFY_DIM_CAP = 9
-RANK_ONE_TOL = 1e-8
 MIN_WEAK_SHOTS = 1000
 
 
@@ -106,66 +98,6 @@ def _resolve_state(args):
     return state
 
 
-def _as_density(state) -> DensityOperator:
-    return state.density() if isinstance(state, BipartitePureState) else state
-
-
-def _as_pure(state) -> BipartitePureState:
-    """Accept a pure state, or a density operator of rank 1 within 1e-8."""
-    if isinstance(state, BipartitePureState):
-        return state
-    w, v = np.linalg.eigh(state.matrix)
-    if w[:-1].max(initial=0.0) > RANK_ONE_TOL:
-        raise BadSpec(
-            f"state is not pure: second eigenvalue {w[-2]:.3e} exceeds "
-            f"{RANK_ONE_TOL:g}"
-        )
-    ket = v[:, -1]
-    return BipartitePureState(state.dims, ket / np.linalg.norm(ket))
-
-
-def _nearest_basis(m: np.ndarray) -> np.ndarray:
-    u, _, v = linalg.svd(m)
-    return u @ linalg.dagger(v)
-
-
-def _basis_from_spec(spec: str, dim: int) -> np.ndarray:
-    name, _, arg = spec.partition(":")
-    if name == "computational":
-        return np.eye(dim, dtype=complex)
-    if name == "fourier":
-        j = np.arange(dim)
-        return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    if name == "random":
-        from .states import haar_unitary
-
-        try:
-            seed = int(arg) if arg else 0
-        except ValueError as exc:
-            raise BadSpec(f"bad seed in basis spec {spec!r}") from exc
-        return haar_unitary(dim, seed)
-    # otherwise treat the spec as a path to a JSON matrix of [re, im] pairs
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise BadSpec(f"unknown basis spec or unreadable file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadSpec(f"basis file {spec!r} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise BadSpec(f"basis file {spec!r} nests its JSON too deeply") from exc
-    m = _pairs_to_complex(data, f"basis file {spec!r}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadSpec(f"basis file {spec!r} must hold a square grid of [re, im] pairs")
-    m = m.T  # file rows are kets; columns internally
-    if m.shape[0] != dim:
-        raise BadSpec(f"basis dimension {m.shape[0]} != expected {dim}")
-    gram = linalg.dagger(m) @ m
-    if np.abs(gram - np.eye(dim)).max() > 1e-8:
-        raise BadSpec(f"basis file {spec!r} columns not orthonormal within 1e-8")
-    return _nearest_basis(m)
-
-
 def _config_from(args, default_restarts, default_iters) -> OptimizerConfig:
     """Commands without ``--tol`` search with the dataclass default."""
     return OptimizerConfig(
@@ -198,13 +130,13 @@ def _report(command):
 # ---------------------------------------------------------------------------
 
 def cmd_kd_dist(args) -> int:
-    rho = _as_density(_resolve_state(args))
+    rho = as_density(_resolve_state(args))
     dims = rho.dims
-    basis_a = _basis_from_spec(args.basis_a, dims.da)
-    basis_y = _basis_from_spec(args.basis_y, dims.total)
+    basis_a = make_basis(args.basis_a, dims.da)
+    basis_y = make_basis(args.basis_y, dims.total)
     full = args.reconstruct or args.form == "full"
     if full:
-        basis_b = _basis_from_spec(args.basis_b, dims.db)
+        basis_b = make_basis(args.basis_b, dims.db)
         dist = kd.kd_full(rho, basis_a, basis_b, basis_y)
     else:
         dist = kd.kd_marginal(rho, basis_a, basis_y)
@@ -234,7 +166,7 @@ def cmd_kd_dist(args) -> int:
 
 @_report
 def cmd_pure(args):
-    state = _as_pure(_resolve_state(args))
+    state = as_pure(_resolve_state(args))
     report = pure_entanglement(state)
     return {
         "dims": [state.dims.da, state.dims.db],
@@ -248,7 +180,7 @@ def cmd_pure(args):
 
 @_report
 def cmd_mixed(args):
-    rho = _as_density(_resolve_state(args))
+    rho = as_density(_resolve_state(args))
     config = _config_from(args, default_restarts=32, default_iters=2000)
     roof = mixed_entanglement(rho, config, terms=args.terms)
     return {
@@ -263,7 +195,7 @@ def cmd_mixed(args):
 
 @_report
 def cmd_bounds(args):
-    rho = _as_density(_resolve_state(args))
+    rho = as_density(_resolve_state(args))
     config = _config_from(args, default_restarts=8, default_iters=600)
     report = bounds_report(rho, config)
     return {
@@ -312,7 +244,7 @@ def cmd_verify(args) -> int:
 
 @_report
 def cmd_weak_sim(args):
-    state = _as_pure(_resolve_state(args))
+    state = as_pure(_resolve_state(args))
     if args.shots < MIN_WEAK_SHOTS:
         raise BadSpec(f"shots {args.shots} below floor {MIN_WEAK_SHOTS}")
     config = _config_from(args, default_restarts=4, default_iters=150)

@@ -1,5 +1,6 @@
 """Bipartite quantum states: validated types, Schmidt decomposition,
-standard constructors, and the JSON state-file format used by the CLI."""
+standard constructors, and the input layer of the CLI: state and basis specs,
+and the JSON state and basis files, read by one reader under ``FILE_TOL``."""
 
 import json
 from dataclasses import dataclass
@@ -114,29 +115,44 @@ class SchmidtDecomposition:
     rank: int
 
 
+def as_density(state) -> DensityOperator:
+    """A density operator as given, or a pure state as its projector."""
+    return state.density() if isinstance(state, BipartitePureState) else state
+
+
+def as_pure(state) -> BipartitePureState:
+    """A pure state as given, or a density operator of rank 1 within
+    ``FILE_TOL`` as its top eigenvector."""
+    if isinstance(state, BipartitePureState):
+        return state
+    w, v = np.linalg.eigh(state.matrix)
+    if w[:-1].max(initial=0.0) > FILE_TOL:
+        raise BadSpec(
+            f"state is not pure: second eigenvalue {w[-2]:.3e} exceeds {FILE_TOL:g}"
+        )
+    ket = v[:, -1]
+    return BipartitePureState(state.dims, ket / np.linalg.norm(ket))
+
+
 def as_state_matrix(state) -> np.ndarray:
     """Density matrix of a pure or mixed state, or a plain 2-D array as given."""
-    if isinstance(state, DensityOperator):
-        return state.matrix
-    if isinstance(state, BipartitePureState):
-        return state.outer()
+    if isinstance(state, (BipartitePureState, DensityOperator)):
+        return as_density(state).matrix
     return linalg.as_matrix(state)
 
 
-def require_basis(v, dim: int) -> np.ndarray:
+def require_basis(v, dim: int, tol: float = BASIS_TOL) -> np.ndarray:
     """Validate that the columns of ``v`` form an orthonormal basis of
-    dimension ``dim``, to ``BASIS_TOL``."""
+    dimension ``dim``, to ``tol``."""
     m = linalg.as_matrix(v)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"basis matrix must be square, got {m.shape}")
     if m.shape[0] != dim:
         raise DimensionMismatch(f"basis dimension {m.shape[0]} != expected {dim}")
     gram = linalg.dagger(m) @ m
-    if np.abs(gram - np.eye(m.shape[0])).max() > BASIS_TOL:
-        raise NotUnitary(
-            f"columns not orthonormal: max deviation "
-            f"{np.abs(gram - np.eye(m.shape[0])).max():.3e}"
-        )
+    dev = np.abs(gram - np.eye(m.shape[0])).max()
+    if dev > tol:
+        raise NotUnitary(f"columns not orthonormal within {tol:g}: max deviation {dev:.3e}")
     return m
 
 
@@ -284,7 +300,9 @@ def make_state(spec: str, dims: BipartiteDims | None = None, seed: int = 0):
     Recognized specs: ``bell``, ``max-entangled:d``, ``werner:p``,
     ``isotropic:d:F``, ``product``, ``random-pure:seed``.
     """
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
+    if sep and name in ("bell", "product"):
+        raise BadSpec(f"state spec {spec!r}: {name!r} takes no argument")
     try:
         if name == "bell":
             return bell_state()
@@ -304,20 +322,69 @@ def make_state(spec: str, dims: BipartiteDims | None = None, seed: int = 0):
     raise BadSpec(f"unknown state spec {spec!r}")
 
 
+def make_basis(spec: str, dim: int) -> np.ndarray:
+    """Columns of an orthonormal basis of dimension ``dim`` from a basis spec:
+    ``computational``, ``fourier``, ``random:SEED`` (``haar_unitary``), or the
+    path to a JSON grid of ``[re, im]`` pairs whose rows are the basis kets.
+    A file's kets must be orthonormal within ``FILE_TOL``; they are then
+    replaced by the nearest orthonormal basis, ``u v^dag`` of their SVD."""
+    name, sep, arg = spec.partition(":")
+    if sep and name in ("computational", "fourier"):
+        raise BadSpec(f"basis spec {spec!r}: {name!r} takes no argument")
+    if name == "computational":
+        return np.eye(dim, dtype=complex)
+    if name == "fourier":
+        j = np.arange(dim)
+        return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+    if name == "random":
+        try:
+            seed = int(arg) if arg else 0
+        except ValueError as exc:
+            raise BadSpec(f"bad seed in basis spec {spec!r}") from exc
+        return haar_unitary(dim, seed)
+    kets = _pairs_to_complex(_read_json(spec, "basis file"), f"basis file {spec!r}")
+    try:
+        m = require_basis(kets.T, dim, tol=FILE_TOL)
+    except (DimensionMismatch, NotUnitary) as exc:
+        raise BadSpec(f"basis file {spec!r}: {exc}") from exc
+    u, _, v = linalg.svd(m)
+    return u @ linalg.dagger(v)
+
+
 # ---------------------------------------------------------------------------
-# state files
+# state and basis files
 # ---------------------------------------------------------------------------
 
-def _reject_constant(token):
-    raise BadSpec(f"non-finite value {token!r} in state file data")
+def _read_json(path, kind: str):
+    """The JSON value in the ``kind`` file at ``path``. An unreadable file,
+    invalid JSON or UTF-8, a NaN or Infinity token and nesting too deep to
+    parse are each a ``BadSpec`` that names ``kind`` and ``path``."""
+    label = f"{kind} {str(path)!r}"
+
+    def reject_constant(token):
+        raise BadSpec(f"non-finite value {token!r} in {label}")
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject_constant)
+    except OSError as exc:
+        raise BadSpec(f"cannot read {label}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadSpec(f"{label} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise BadSpec(f"{label} nests its JSON too deeply") from exc
 
 
 def _pairs_to_complex(data, shape_desc: str) -> np.ndarray:
+    """Nested ``[re, im]`` pairs of JSON numbers as a complex array. Strings,
+    booleans and nulls are not numbers, even where numpy would convert them."""
+    message = f"data must be nested [re, im] pairs of numbers for {shape_desc}"
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise BadSpec(f"data must be nested [re, im] pairs of numbers for {shape_desc}: "
-                      f"{exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadSpec(f"{message}: {exc}") from exc
+    if not all(type(x) in (int, float) for x in np.asarray(data, dtype=object).flat):
+        raise BadSpec(message)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise BadSpec(f"data must be nested [re, im] pairs for {shape_desc}")
     if not np.isfinite(arr).all():
@@ -387,14 +454,7 @@ def state_to_json(state) -> dict:
 
 
 def load_state(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise BadSpec(f"state file is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise BadSpec("state file nests its JSON too deeply") from exc
-    return state_from_json(obj)
+    return state_from_json(_read_json(path, "state file"))
 
 
 def save_state(state, path):

@@ -272,7 +272,10 @@ def test_missing_state_file_is_input_error(tmp_path, capsys):
     ("[[{}, 0], [0, 0], [0, 0], [0, 0]]", "pairs of numbers"),
     ("[[-1" + "0" * 400 + ", 0], [0, 0], [0, 0], [0, 0]]", "pairs of numbers"),
     ("[" * 100_000 + "]" * 100_000, "too deeply"),
-], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep"])
+    ('[["1", 0], [0, 0], [0, 0], [0, 0]]', "pairs of numbers"),
+    ("[[true, 0], [0, 0], [0, 0], [0, 0]]", "pairs of numbers"),
+], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep", "string-leaf",
+        "boolean-leaf"])
 def test_malformed_state_data_is_input_error(data, message, tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text('{"dims": [2, 2], "kind": "pure", "data": ' + data + "}")
@@ -284,13 +287,60 @@ def test_malformed_state_data_is_input_error(data, message, tmp_path, capsys):
     ("[[[1, 0], [{}, 0]], [[0, 0], [1, 0]]]", "pairs of numbers"),
     ("[[[1, 0], [0, 0]], [[0, 0], [-1" + "0" * 400 + ", 0]]]", "pairs of numbers"),
     ("[" * 100_000 + "]" * 100_000, "too deeply"),
-], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep"])
+    ('[[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]', "pairs of numbers"),
+    ("[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]", "pairs of numbers"),
+], ids=["dict-entry", "integer-beyond-float", "nested-100000-deep", "string-leaf",
+        "boolean-leaf"])
 def test_malformed_basis_file_is_input_error(data, message, tmp_path, capsys):
     path = tmp_path / "basis.json"
     path.write_text(data)
     assert cli.main(["kd-dist", "--builtin", "bell", "--basis-a", str(path),
                      "--out", str(tmp_path / "table.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+def basis_grid(kets) -> list:
+    """The basis-file form of ``kets``: one row of ``[re, im]`` pairs per ket."""
+    return [[[float(z.real), float(z.imag)] for z in ket] for ket in kets]
+
+
+def test_basis_file_within_tolerance_is_repaired(tmp_path):
+    kets = states.haar_unitary(3, 5).T.copy()
+    kets[0] *= 1 + 5e-10  # the Gram matrix is off by 1e-9, inside the 1e-8 tolerance
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis_grid(kets)))
+    basis = states.make_basis(str(path), 3)
+    assert np.abs(basis.conj().T @ basis - np.eye(3)).max() < 1e-14
+    assert np.abs(basis - kets.T).max() < 1e-8
+
+
+@pytest.mark.parametrize("dim, stretch, message", [
+    (2, 5e-7, "not orthonormal within 1e-08"),
+    (3, 0.0, "basis dimension 3 != expected 2"),
+], ids=["off-by-1e-6", "wrong-dimension"])
+def test_basis_file_off_tolerance_or_dimension_is_input_error(dim, stretch, message,
+                                                             tmp_path, capsys):
+    kets = states.haar_unitary(dim, 5).T.copy()
+    kets[0] *= 1 + stretch
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis_grid(kets)))
+    assert cli.main(["kd-dist", "--builtin", "bell", "--basis-a", str(path),
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["pure", "--builtin", "bell:7"], "bell:7"),
+    (["pure", "--builtin", "product:3"], "product:3"),
+    (["kd-dist", "--builtin", "bell", "--basis-a", "computational:9"], "computational:9"),
+    (["kd-dist", "--builtin", "bell", "--basis-y", "fourier:2"], "fourier:2"),
+], ids=["bell:7", "product:3", "computational:9", "fourier:2"])
+def test_argumentless_spec_rejects_an_argument(argv, spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # kd-dist writes its table here
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{spec!r}" in err and "takes no argument" in err
 
 
 json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers()
@@ -308,16 +358,21 @@ SAVED_STATES = (ke.bell_state(), ke.bell_state().density(), ke.werner_state(0.5)
                 ke.haar_pure(ke.BipartiteDims(2, 3), 1))
 
 
+def edit_a_node(draw, parent, key):
+    """Leave ``parent[key]`` whole, or replace it or one node nested in its
+    lists by any JSON value."""
+    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    if draw(st.booleans()):
+        parent[key] = draw(json_values)
+
+
 @st.composite
 def edited_state_files(draw):
     """A saved state's file object, left whole or with one node (a field, a
     row, an entry or a number) replaced by any JSON value."""
     obj = states.state_to_json(draw(st.sampled_from(SAVED_STATES)))
-    parent, key = obj, draw(st.sampled_from(["dims", "kind", "data"]))
-    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
-        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
-    if draw(st.booleans()):
-        parent[key] = draw(json_values)
+    edit_a_node(draw, obj, draw(st.sampled_from(["dims", "kind", "data"])))
     return obj
 
 
@@ -336,6 +391,29 @@ def test_fuzzed_state_files_end_in_an_answer_or_input_error(obj, tmp_path):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(obj))
     assert cli.main(["pure", "--state", str(path)]) in (0, 2)
+
+
+SAVED_BASES = (np.eye(2), states.haar_unitary(2, 1), states.haar_unitary(3, 2))
+
+
+@st.composite
+def edited_basis_files(draw):
+    """A basis's file grid, left whole or with one node (a row, a pair or a
+    number) replaced by any JSON value."""
+    holder = [basis_grid(draw(st.sampled_from(SAVED_BASES)).T)]
+    edit_a_node(draw, holder, 0)
+    return holder[0]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=json_values | edited_basis_files())
+def test_fuzzed_basis_files_end_in_an_answer_or_input_error(obj, tmp_path):
+    # any JSON value in a basis file gives a table or exit 2, never a traceback
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["kd-dist", "--builtin", "bell", "--basis-a", str(path),
+                     "--out", str(tmp_path / "table.csv")]) in (0, 2)
 
 
 @pytest.mark.parametrize("buffered", [True, False])

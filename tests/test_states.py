@@ -93,6 +93,15 @@ def test_make_state_builtins():
         ke.make_state("werner:1.5")
 
 
+def test_make_basis_builtins():
+    for d in (2, 3, 4):
+        j = np.arange(d)
+        dft = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+        assert np.array_equal(ke.make_basis("fourier", d), dft)
+        assert np.array_equal(ke.make_basis("random:3", d), ke.haar_unitary(d, 3))
+        assert np.array_equal(ke.make_basis("computational", d), np.eye(d))
+
+
 def test_isotropic_state():
     rng = np.random.default_rng(24)
     for d in (2, 3, 4):
@@ -213,6 +222,10 @@ def test_state_file_rejections(tmp_path):
     path.write_text('{"dims": [2, 2], "kind": "pure", '
                     '"data": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
     with pytest.raises(BadSpec):
+        ke.load_state(path)
+
+    path.write_bytes(b'\xff{"dims": [2, 2]}')
+    with pytest.raises(BadSpec, match="not valid JSON"):
         ke.load_state(path)
 
 
