@@ -83,7 +83,6 @@ from .weakvalue import (
     ShotRecord,
     WeakValueEstimate,
     estimate_kd_imag,
-    sample_born,
     sampled_entanglement,
     sampled_max_nonreality,
 )

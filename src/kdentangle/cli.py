@@ -215,10 +215,9 @@ def cmd_verify(args) -> int:
         names = list(verify.SUITES)  # each takes the options it can use
     else:
         names = [args.suite]
-        for option, value, takers in (("--dims", args.dims, verify.DIMS_AWARE),
-                                      ("--count", args.count, verify.COUNT_KEYWORD)):
-            if value is not None and args.suite not in takers:
-                raise BadSpec(f"suite {args.suite} does not take {option}")
+        for option, value in (("dims", args.dims), ("count", args.count)):
+            if value is not None and option not in verify.SUITE_OPTIONS[args.suite]:
+                raise BadSpec(f"suite {args.suite} does not take --{option}")
     dims = None
     if args.dims:
         dims = _parse_dims(args.dims)
@@ -229,6 +228,8 @@ def cmd_verify(args) -> int:
             )
     if args.count is not None and args.count < 1:
         raise BadSpec(f"count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise BadSpec(f"seed must be >= 0, got {args.seed}")
     all_ok = True
     for name in names:
         result = verify.run_suite(name, seed=args.seed, dims=dims,

@@ -41,17 +41,13 @@ def svd(a):
     return u[:, :k], s[:k], dagger(vh)[:, :k]
 
 
-def singular_values(a) -> np.ndarray:
-    m = as_matrix(a)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
 def trace_norm(a) -> float:
     """Sum of singular values (Schatten-1 norm)."""
-    return float(singular_values(a).sum())
+    m = as_matrix(a)
+    try:
+        return float(np.linalg.svd(m, compute_uv=False).sum())
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def hermitian_trace_norm(h):

@@ -52,6 +52,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 1 <= self.restarts <= RESTART_CAP:
             raise BadSpec(f"restarts must be in [1, {RESTART_CAP}], got {self.restarts}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise BadSpec(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.tol) and self.tol > 0):

@@ -61,9 +61,9 @@ class BipartitePureState:
             )
         if not np.isfinite(amps.real).all() or not np.isfinite(amps.imag).all():
             raise BadSpec("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise BadSpec(f"state norm {float(norm)!r} deviates from 1 beyond {NORM_TOL:g}")
+        trace = (amps * np.conj(amps)).sum().real  # as DensityOperator reads it
+        if abs(trace - 1.0) > NORM_TOL:
+            raise BadSpec(f"state squared norm {float(trace)!r} deviates from 1 beyond {NORM_TOL:g}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def matrix(self) -> np.ndarray:

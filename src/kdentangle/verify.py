@@ -6,6 +6,7 @@ finite-sample statistics) and reports the largest observed deviation.
 Default sizes match the package acceptance battery.
 """
 
+import inspect
 import time
 from dataclasses import dataclass
 
@@ -58,14 +59,14 @@ def _dims_list(dims):
     return [dims if isinstance(dims, BipartiteDims) else BipartiteDims(*dims)]
 
 
-def suite_lemma1(seed: int = 0, n_ops: int = 50, n_bases: int = 200) -> SuiteResult:
+def suite_lemma1(seed: int = 0, count: int = 50) -> SuiteResult:
     """Trace norm as the largest basis sum of absolute diagonal elements,
     attained at the eigenbasis of a normal operator."""
     t0 = time.time()
     rng = np.random.default_rng([seed, 31])
     eig_dev = 0.0
     excess = 0.0
-    for k in range(n_ops):
+    for k in range(count):
         dim = int(rng.integers(2, 7))
         u = haar_unitary(dim, rng)
         d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -73,7 +74,7 @@ def suite_lemma1(seed: int = 0, n_ops: int = 50, n_bases: int = 200) -> SuiteRes
         tn = linalg.trace_norm(op)
         eig_sum = float(np.abs(np.einsum("iy,ij,jy->y", np.conj(u), op, u)).sum())
         eig_dev = max(eig_dev, abs(eig_sum - tn))
-        for _ in range(n_bases // n_ops + 1):
+        for _ in range(200 // count + 1):
             v = haar_unitary(dim, rng)
             s = float(np.abs(np.einsum("iy,ij,jy->y", np.conj(v), op, v)).sum())
             excess = max(excess, s - tn)
@@ -128,8 +129,7 @@ def suite_prop1(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
     )
 
 
-def suite_prop2(seed: int = 0, count: int = 100, dims=None,
-                tol: float = 1e-4) -> SuiteResult:
+def suite_prop2(seed: int = 0, count: int = 100, dims=None) -> SuiteResult:
     """Numeric basis minimization lands on the closed form for pure states."""
     t0 = time.time()
     dims_list = _dims_list(dims)
@@ -142,7 +142,7 @@ def suite_prop2(seed: int = 0, count: int = 100, dims=None,
             closed = nonreality_entropy(state.density().marginal("A"))
             numeric, _, _ = minimized_nonreality(state.density(), config)
             dev = max(dev, abs(numeric - closed))
-    return _result("prop2", dev <= tol, dev,
+    return _result("prop2", dev <= 1e-4, dev,
                    f"max |numeric - closed| = {dev:.3e} over "
                    f"{count * len(dims_list)} states", t0)
 
@@ -191,13 +191,12 @@ def suite_prop4(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
                    f"identity dev {dev:.3e}, subsystem excess {excess:.3e}", t0)
 
 
-def suite_prop5(seed: int = 0, count: int = 100,
-                roof_config: OptimizerConfig | None = None) -> SuiteResult:
+def suite_prop5(seed: int = 0, count: int = 100) -> SuiteResult:
     """Convex-roof value sits inside the strengthened lower/upper sandwich on
     random rank-2 mixed states."""
     t0 = time.time()
     families = [BipartiteDims(2, 2), BipartiteDims(2, 3)]
-    config = roof_config or OptimizerConfig(restarts=8, max_iters=800, seed=seed)
+    config = OptimizerConfig(restarts=8, max_iters=800, seed=seed)
     bound_config = OptimizerConfig(restarts=6, max_iters=400, seed=seed)
     low_gap = 0.0
     high_gap = 0.0
@@ -238,25 +237,23 @@ def suite_concurrence(seed: int = 0, count: int = 100) -> SuiteResult:
                    f"max two-qubit equality dev {dev:.3e}", t0)
 
 
-def suite_roof(seed: int = 0, p_values=(0.2, 0.4, 0.5, 0.6, 0.8, 1.0),
-               restarts: int = 32, terms: int = 4,
-               tol: float = 2e-3) -> SuiteResult:
+def suite_roof(seed: int = 0) -> SuiteResult:
     """Normalized convex roof matches the two-qubit spin-flip oracle on the
     isotropic mixture family."""
     t0 = time.time()
+    p_values = (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
     dev = 0.0
     for p in p_values:
         rho = werner_state(p)
-        config = OptimizerConfig(restarts=restarts, max_iters=2000, seed=seed)
-        roof = mixed_entanglement(rho, config, terms=terms)
+        config = OptimizerConfig(restarts=32, max_iters=2000, seed=seed)
+        roof = mixed_entanglement(rho, config, terms=4)
         oracle = wootters_concurrence(rho)
         dev = max(dev, abs(roof.value / roof_normalization(rho.dims) - oracle))
-    return _result("roof", dev <= tol, dev,
-                   f"max |roof - oracle| = {dev:.3e} over p in {tuple(p_values)}", t0)
+    return _result("roof", dev <= 2e-3, dev,
+                   f"max |roof - oracle| = {dev:.3e} over p in {p_values}", t0)
 
 
-def suite_weak(seed: int = 0, shots: int = 10**6,
-               rmse_seeds: int = 100) -> SuiteResult:
+def suite_weak(seed: int = 0) -> SuiteResult:
     """Sampled pipeline lands within the binomial band of the closed form and
     the cell-estimator RMSE scales as c / sqrt(shots) with c <= 4."""
     t0 = time.time()
@@ -269,6 +266,8 @@ def suite_weak(seed: int = 0, shots: int = 10**6,
         ("product", BipartitePureState(d, np.eye(4, dtype=complex)[:, 0]), 0.0),
         ("lam", lam_state, np.sqrt(3) / 2),
     ]
+    shots = 10**6
+    rmse_seeds = 100
     band = 5.0 * 4 / np.sqrt(shots)
     dev = 0.0
     for name, state, reference in cases:
@@ -310,23 +309,14 @@ SUITES = {
     "weak": suite_weak,
 }
 
-DIMS_AWARE = {"prop1", "prop2", "prop3", "prop4"}
-COUNT_KEYWORD = {
-    "lemma1": "n_ops",
-    "prop1": "count",
-    "prop2": "count",
-    "prop3": "count",
-    "prop4": "count",
-    "prop5": "count",
-    "concurrence": "count",
+# the options each suite takes beside ``seed``, read from its signature
+SUITE_OPTIONS = {
+    name: {"count", "dims"} & set(inspect.signature(fn).parameters)
+    for name, fn in SUITES.items()
 }
 
 
 def run_suite(name: str, seed: int = 0, dims=None, count: int | None = None) -> SuiteResult:
-    fn = SUITES[name]
-    kwargs = {"seed": seed}
-    if name in DIMS_AWARE and dims is not None:
-        kwargs["dims"] = dims
-    if count is not None and name in COUNT_KEYWORD:
-        kwargs[COUNT_KEYWORD[name]] = count
-    return fn(**kwargs)
+    given = {"dims": dims, "count": count}
+    options = {k: given[k] for k in SUITE_OPTIONS[name] if given[k] is not None}
+    return SUITES[name](seed=seed, **options)

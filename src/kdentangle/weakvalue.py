@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSpec
-from .kd import born_probabilities, optimal_second_basis
+from .kd import optimal_second_basis
 from .optimize import OptimizerConfig, minimize_over_bases
 from .states import BipartitePureState, as_state_matrix, require_basis
 
@@ -45,13 +45,12 @@ class ShotRecord:
 @dataclass(frozen=True)
 class WeakValueEstimate:
     value: complex
-    std_error_re: float
     std_error_im: float
     shots_used: int
 
     def __post_init__(self):
-        if self.std_error_re < 0 or self.std_error_im < 0:
-            raise BadSpec("standard errors must be nonnegative")
+        if self.std_error_im < 0:
+            raise BadSpec("standard error must be nonnegative")
         if self.shots_used <= 0:
             raise BadSpec("shots_used must be positive")
 
@@ -92,30 +91,11 @@ def derived_seeds(master: int, basis: np.ndarray, x: int) -> list[np.ndarray]:
 
 
 def _draw(seed, shots: int, probs: np.ndarray) -> np.ndarray:
-    """Multinomial outcome counts of ``shots`` draws; every sampler draws here.
-    ``seed`` is anything ``np.random.default_rng`` takes: a user's int, or a
-    cell's ``_seed_words``."""
+    """Multinomial outcome counts of ``shots`` draws; every sampler draws here,
+    each cell from its own ``_seed_words``."""
     if shots > SHOTS_CAP:
         raise BadSpec(f"shots {shots} exceed the int64 count cap {SHOTS_CAP}")
     return np.random.default_rng(seed).multinomial(shots, probs)
-
-
-def sample_born(rho, basis, shots: int, seed: int,
-                preparation: str = "state", basis_label: str = "basis"):
-    """Multinomial draw from the Born distribution of a rank-1 PVM.
-
-    Returns one ``ShotRecord`` per outcome; counts sum to ``shots``.
-    """
-    if shots < 1:
-        raise BadSpec(f"shots must be >= 1, got {shots}")
-    mat = as_state_matrix(rho)
-    b = require_basis(basis, mat.shape[0])
-    p = np.maximum(born_probabilities(mat, b), 0.0)
-    counts = _draw(seed, shots, p / p.sum())
-    return [
-        ShotRecord(preparation, basis_label, outcome, int(c))
-        for outcome, c in enumerate(counts)
-    ]
 
 
 def _cell_counts(rho_mat, projs, bases_y, shots, master_seed, cells):
@@ -181,7 +161,7 @@ def estimate_kd_imag(rho, basis_a, basis_y, x_index: int, y_index: int,
     f2 = c2[y_index] / n2
     est = (f1 - f2) / 2.0
     se = 0.5 * np.sqrt(f1 * (1 - f1) / n1 + f2 * (1 - f2) / n2)
-    return WeakValueEstimate(complex(0.0, est), 0.0, float(se), shots)
+    return WeakValueEstimate(complex(0.0, est), float(se), shots)
 
 
 def sampled_max_nonreality(rho_mat: np.ndarray, dims, basis_a: np.ndarray,

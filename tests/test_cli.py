@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -124,14 +125,25 @@ def test_mixed_rejects_non_finite_tol(capsys):
 
 
 def test_mixed_rejects_restarts_above_cap(monkeypatch, capsys):
-    # the restarts are checked before any start runs, so 10^9 of them never
-    # reach the search
+    # the restarts and the seed are checked before any start runs, so 10^9
+    # restarts never reach the search, and a negative seed is named as the
+    # fault instead of failing in numpy after the first start
     def no_search(*args, **kwargs):
         raise AssertionError("a start ran")
 
     monkeypatch.setattr(optimize, "_scipy_minimize", no_search)
-    assert cli.main(["mixed", "--builtin", "werner:0.5", "--restarts", "1000000000"]) == 2
-    assert f"restarts must be in [1, {optimize.RESTART_CAP}]" in capsys.readouterr().err
+    negative_seed = "seed must be >= 0, got -1"
+    for argv, message in (
+        (["mixed", "--builtin", "werner:0.5", "--restarts", "1000000000"],
+         f"restarts must be in [1, {optimize.RESTART_CAP}]"),
+        (["mixed", "--builtin", "werner:0.5", "--seed", "-1", "--restarts", "2"],
+         negative_seed),
+        (["bounds", "--builtin", "werner:0.5", "--seed", "-1"], negative_seed),
+        (["weak-sim", "--builtin", "bell", "--seed", "-1"], negative_seed),
+        (["verify", "--seed", "-1"], negative_seed),
+    ):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bounds_rejects_side_above_pattern_cap(monkeypatch, capsys):
@@ -513,12 +525,21 @@ def test_verify_all_passes_options_to_suites_that_take_them(monkeypatch, capsys)
         monkeypatch.setitem(verify.SUITES, name, record)
     assert cli.main(["verify", "--count", "3", "--dims", "2x2", "--seed", "5"]) == 0
     assert capsys.readouterr().out.count(": PASS") == len(verify.SUITES)
+    dims = ke.BipartiteDims(2, 2)
     for name, kwargs in seen.items():
         assert kwargs.pop("seed") == 5
-        assert ("dims" in kwargs) == (name in verify.DIMS_AWARE)
-        count_key = verify.COUNT_KEYWORD.get(name)
-        assert kwargs.pop(count_key, 3) == 3
-        assert set(kwargs) <= {"dims"}
+        assert set(kwargs) == verify.SUITE_OPTIONS[name]
+        assert kwargs.pop("count", 3) == 3
+        assert kwargs.pop("dims", dims) == dims
+
+
+def test_every_suite_takes_seed_and_only_cli_options():
+    # the CLI passes a suite only the options in its signature, so a suite
+    # parameter outside them is a setting nothing can change
+    for name, fn in verify.SUITES.items():
+        params = set(inspect.signature(fn).parameters)
+        assert "seed" in params, name
+        assert params <= {"seed", "count", "dims"}, name
 
 
 def test_readme_commands_parse():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kdentangle as ke
 from kdentangle.errors import BadSpec, DimensionMismatch, NotUnitary
@@ -24,6 +26,36 @@ def test_pure_state_validation():
         ke.BipartitePureState(dims, np.array([1.0, 0, 0, 1.0]))
     with pytest.raises(DimensionMismatch):
         ke.BipartitePureState(dims, np.array([1.0, 0, 0]))
+
+
+# the squared norm is the trace of the density, so it is held to NORM_TOL:
+# an amplitude 1 + 9e-11 once constructed and then failed in density()
+@pytest.mark.parametrize("error, accepted", [
+    (4e-11, True), (-4e-11, True), (6e-11, False), (9e-11, False),
+])
+def test_pure_state_norm_boundary(error, accepted):
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 1 + error
+    if not accepted:
+        with pytest.raises(BadSpec, match="squared norm"):
+            ke.BipartitePureState(ke.BipartiteDims(2, 2), amps)
+        return
+    state = ke.BipartitePureState(ke.BipartiteDims(2, 2), amps)
+    state.density()
+    assert ke.wootters_concurrence(state) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-2e-10, 2e-10),
+       st.sampled_from(DIMS_GRID))
+def test_accepted_pure_state_has_density(seed, error, dims):
+    d = ke.BipartiteDims(*dims)
+    amps = ke.haar_pure(d, seed).amplitudes * (1 + error)
+    try:
+        state = ke.BipartitePureState(d, amps)
+    except BadSpec:
+        return
+    state.density()
 
 
 def test_density_validation():

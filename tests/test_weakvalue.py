@@ -17,41 +17,6 @@ def i_state_embedded():
     return ke.DensityOperator(ke.BipartiteDims(2, 2), m)
 
 
-def test_sample_born_deterministic_point_mass():
-    rho = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
-    records = ke.sample_born(rho, np.eye(4, dtype=complex), 1000, seed=1)
-    counts = {r.outcome: r.count for r in records}
-    assert counts[0] == 1000
-    assert sum(counts.values()) == 1000
-
-
-def test_sample_born_concentration():
-    rho = ke.DensityOperator(ke.BipartiteDims(2, 2), np.eye(4) / 4)
-    basis = ke.haar_unitary(4, 3)
-    shots = 10**6
-    records = ke.sample_born(rho, basis, shots, seed=2)
-    for r in records:
-        assert abs(r.count / shots - 0.25) <= 5 / np.sqrt(shots)
-
-
-def test_sample_born_bell_support():
-    rho = ke.bell_state().density()
-    records = ke.sample_born(rho, np.eye(4, dtype=complex), 5000, seed=3)
-    counts = {r.outcome: r.count for r in records}
-    assert counts[1] == 0 and counts[2] == 0
-    assert counts[0] + counts[3] == 5000
-
-
-def test_sample_born_seed_determinism():
-    rho = ke.werner_state(0.3)
-    basis = ke.haar_unitary(4, 5)
-    a = ke.sample_born(rho, basis, 10**4, seed=7)
-    b = ke.sample_born(rho, basis, 10**4, seed=7)
-    assert [r.count for r in a] == [r.count for r in b]
-    c = ke.sample_born(rho, basis, 10**4, seed=8)
-    assert [r.count for r in c] != [r.count for r in a]
-
-
 def test_estimate_commuting_cell_is_zero():
     rho = ke.DensityOperator(
         ke.BipartiteDims(2, 2), np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
@@ -238,14 +203,10 @@ def test_shots_beyond_int64_rejected():
     cap = np.iinfo(np.int64).max
     rho = ke.bell_state().density()
     with pytest.raises(BadSpec, match="int64 count cap"):
-        ke.sample_born(rho, np.eye(4, dtype=complex), cap + 1, seed=1)
-    with pytest.raises(BadSpec, match="int64 count cap"):
         ke.sampled_max_nonreality(rho.matrix, (2, 2), EYE2, cap + 1, 0)
     # each preparation takes half the shots
     with pytest.raises(BadSpec, match="int64 count cap"):
         ke.estimate_kd_imag(rho, EYE2, np.eye(4, dtype=complex), 0, 0, 2 * cap + 2, 0)
-    records = ke.sample_born(rho, np.eye(4, dtype=complex), cap, seed=1)
-    assert sum(r.count for r in records) == cap
     sink = []
     ke.sampled_max_nonreality(rho.matrix, (2, 2), EYE2, cap, 0, sink=sink)
     assert sum(r.count for r in sink) == 4 * cap
