@@ -18,13 +18,15 @@ import numpy as np
 
 from . import kd, linalg, verify, weakvalue
 from .entanglement import (
+    ASYMMETRY_SEARCH,
+    ROOF_SEARCH,
     bounds_report,
     mixed_entanglement,
     pure_entanglement,
     roof_normalization,
 )
 from .errors import BadSpec, BasisPairSingular, KdToolError, OptimizerFailed
-from .optimize import RESTART_CAP, OptimizerConfig
+from .optimize import RESTART_CAP, ROOF_CAP, OptimizerConfig
 from .states import BipartiteDims, as_density, as_pure, load_state, make_basis, make_state
 
 EXIT_OK = 0
@@ -98,14 +100,9 @@ def _resolve_state(args):
     return state
 
 
-def _config_from(args, default_restarts, default_iters) -> OptimizerConfig:
-    """Commands without ``--tol`` search with the dataclass default."""
-    return OptimizerConfig(
-        restarts=args.restarts if args.restarts is not None else default_restarts,
-        max_iters=default_iters,
-        tol=getattr(args, "tol", OptimizerConfig.tol),
-        seed=args.seed,
-    )
+def _config_from(args) -> OptimizerConfig:
+    """The command's search preset with the ``--restarts`` and ``--seed`` read."""
+    return dataclasses.replace(args.search, restarts=args.restarts, seed=args.seed)
 
 
 def _report(command):
@@ -181,7 +178,7 @@ def cmd_pure(args):
 @_report
 def cmd_mixed(args):
     rho = as_density(_resolve_state(args))
-    config = _config_from(args, default_restarts=32, default_iters=2000)
+    config = _config_from(args)
     roof = mixed_entanglement(rho, config, terms=args.terms)
     return {
         "dims": [rho.dims.da, rho.dims.db],
@@ -190,13 +187,13 @@ def cmd_mixed(args):
         "probabilities": roof.probabilities,
         "pure_states": [s.amplitudes for s in roof.pure_states],
         "diagnostics": dataclasses.asdict(roof.diagnostics),
-    }, {"tol": config.tol, "restarts": config.restarts, "terms": roof.terms}
+    }, {"restarts": config.restarts, "terms": roof.terms}
 
 
 @_report
 def cmd_bounds(args):
     rho = as_density(_resolve_state(args))
-    config = _config_from(args, default_restarts=8, default_iters=600)
+    config = _config_from(args)
     report = bounds_report(rho, config)
     return {
         "dims": [rho.dims.da, rho.dims.db],
@@ -228,8 +225,6 @@ def cmd_verify(args) -> int:
             )
     if args.count is not None and args.count < 1:
         raise BadSpec(f"count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        raise BadSpec(f"seed must be >= 0, got {args.seed}")
     all_ok = True
     for name in names:
         result = verify.run_suite(name, seed=args.seed, dims=dims,
@@ -248,14 +243,12 @@ def cmd_weak_sim(args):
     state = as_pure(_resolve_state(args))
     if args.shots < MIN_WEAK_SHOTS:
         raise BadSpec(f"shots {args.shots} below floor {MIN_WEAK_SHOTS}")
-    config = _config_from(args, default_restarts=4, default_iters=150)
+    config = _config_from(args)
     value, basis, diag = weakvalue.sampled_entanglement(state, args.shots, config)
     reference = pure_entanglement(state).value
     records: list = []
-    final = weakvalue.sampled_max_nonreality(
-        state.outer(), state.dims.as_tuple(), basis, args.shots, config.seed,
-        sink=records,
-    )
+    weakvalue.sampled_max_nonreality(state.outer(), state.dims.as_tuple(), basis,
+                                     args.shots, config.seed, sink=records)
     records_path = args.records or "weak_shots.csv"
     with open(records_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("preparation,basis,outcome,count\n")
@@ -264,7 +257,6 @@ def cmd_weak_sim(args):
     return {
         "dims": [state.dims.da, state.dims.db],
         "estimate": value,
-        "best_basis_estimate": final,
         "reference": reference,
         "deviation": abs(value - reference),
         "shots_per_cell": args.shots,
@@ -298,9 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="report output format")
 
-    def add_restarts(p):
-        p.add_argument("--restarts", type=int, default=None,
-                       help=f"seeded random restarts per search, 1 to {RESTART_CAP}")
+    def add_search(p, preset):
+        p.add_argument("--restarts", type=int, default=preset.restarts,
+                       help=f"seeded random restarts per search, 1 to {RESTART_CAP} "
+                       "(default %(default)s)")
+        p.set_defaults(search=preset)
 
     p = sub.add_parser("kd-dist", help="emit a quasiprobability table as CSV")
     add_common(p)
@@ -320,17 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixed", help="convex-roof entanglement for a mixed state")
     add_common(p)
-    add_restarts(p)
-    p.add_argument("--tol", type=float, default=OptimizerConfig.tol,
-                   help="roof slack: the value may pass the marginal-entropy "
-                   "ceiling or the certified floor by max(tol, 1e-6)")
+    add_search(p, ROOF_SEARCH)
     p.add_argument("--terms", type=int, default=None,
-                   help="decomposition size (default min(2*rank, 16), at most 16)")
+                   help=f"decomposition size (default min(2*rank, {ROOF_CAP}), "
+                   f"at most {ROOF_CAP})")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("bounds", help="lower/upper bound report")
     add_common(p)
-    add_restarts(p)
+    add_search(p, ASYMMETRY_SEARCH)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-sim", help="sampled estimation of the pure-state value")
     add_common(p)
-    add_restarts(p)
+    add_search(p, weakvalue.SAMPLED_SEARCH)
     p.add_argument("--shots", type=int, default=10**6,
                    help="shots per preparation cell (floor 1000)")
     p.add_argument("--records", help="CSV path for the final shot records")
@@ -357,6 +349,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()  # a buffered stdout meets a closed pipe here
         return code

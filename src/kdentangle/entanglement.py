@@ -114,8 +114,7 @@ def measurement_disturbance(state: BipartitePureState, basis_a) -> float:
     a = require_basis(basis_a, dims.da)
     psi_outer = state.outer()
     projs = linalg.embed_local(linalg.projectors(a), dims.as_tuple())
-    q = np.eye(dims.total) - projs
-    after = projs @ psi_outer @ projs + q @ psi_outer @ q
+    after = linalg.binary_measurement(psi_outer, projs)
     return float(linalg.hermitian_trace_norm(psi_outer - after).sum()) / 2.0
 
 
@@ -123,12 +122,9 @@ def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
     """Same disturbance sum evaluated on the A marginal alone; never exceeds
     the composite-state disturbance (trace distance contracts under partial
     trace)."""
-    dims = state.dims
-    a = require_basis(basis_a, dims.da)
+    a = require_basis(basis_a, state.dims.da)
     rho_a = state.density().marginal("A")
-    projs = linalg.projectors(a)
-    q = np.eye(dims.da) - projs
-    after = projs @ rho_a @ projs + q @ rho_a @ q
+    after = linalg.binary_measurement(rho_a, linalg.projectors(a))
     return float(linalg.hermitian_trace_norm(rho_a - after).sum()) / 2.0
 
 
@@ -168,8 +164,11 @@ def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray, side: str) -> flo
     return float(linalg.commutator_trace_norm(full, rho_mat).max()) / 2.0
 
 
+ASYMMETRY_SEARCH = OptimizerConfig(restarts=8, max_iters=600)
+
+
 def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
-                          config: OptimizerConfig | None = None):
+                          config: OptimizerConfig = ASYMMETRY_SEARCH):
     """Extremal trace-norm asymmetry of the state relative to local Hermitian
     generators: inner supremum exact by sign-pattern enumeration, outer
     infimum over local bases by seeded multistart search, warm started at the
@@ -179,7 +178,6 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    config = config or OptimizerConfig(restarts=8, max_iters=600)
     dims = rho.dims.as_tuple()
     _pattern_dim(rho.dims, side)
     objective = lambda basis: _pattern_sup(rho.matrix, dims, basis, side)
@@ -224,7 +222,8 @@ class BoundsReport:
         return min(self.upper, self.upper_swapped)
 
 
-def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -> BoundsReport:
+def bounds_report(rho: DensityOperator,
+                  config: OptimizerConfig = ASYMMETRY_SEARCH) -> BoundsReport:
     """Both-sided lower (extremal asymmetry) and upper (marginal nonreality
     entropy) bounds, the tighter pair being the max/min across the two sides,
     and the certified floor of the convex roof."""
@@ -235,14 +234,15 @@ def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -
     upper = nonreality_entropy(rho.marginal("A"))
     upper_b = nonreality_entropy(rho.marginal("B"))
     report = BoundsReport(lower, upper, lower_b, upper_b, certified_lower(rho))
-    if report.best_lower > report.best_upper + 1e-6:
+    slack = OptimizerConfig.tol
+    if report.best_lower > report.best_upper + slack:
         raise OptimizerFailed(
             f"lower bound {report.best_lower!r} exceeds upper bound "
             f"{report.best_upper!r} beyond slack"
         )
     # for a pure state the side-A upper bound is the closed form
     if rho.purity() >= 1.0 - 1e-10:
-        if report.best_lower > upper + 1e-6 or upper > report.best_upper + 1e-6:
+        if report.best_lower > upper + slack or upper > report.best_upper + slack:
             raise OptimizerFailed(
                 f"pure-state value {upper!r} escapes bounds "
                 f"[{report.best_lower!r}, {report.best_upper!r}]"
@@ -254,7 +254,10 @@ def bounds_report(rho: DensityOperator, config: OptimizerConfig | None = None) -
 # numeric outer minimization and the convex roof
 # ---------------------------------------------------------------------------
 
-def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = None,
+NONREALITY_SEARCH = OptimizerConfig(restarts=4, max_iters=400)
+
+
+def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREALITY_SEARCH,
                          side: str = "A"):
     """Numerically minimize the analytic per-basis nonreality supremum over
     local bases. For pure states this reproduces the closed form, which the
@@ -265,7 +268,6 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig | None = 
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    config = config or OptimizerConfig(restarts=4, max_iters=400)
     dims = rho.dims.as_tuple()
     objective = lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side)
     warm = np.linalg.eigh(rho.marginal(side))[1]
@@ -319,7 +321,11 @@ def roof_normalization(dims: BipartiteDims) -> float:
     return float(np.sqrt(min(dims.da, dims.db) - 1))
 
 
-def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = None,
+# the roof's budget is the dataclass default: 32 restarts of 2000 iterations
+ROOF_SEARCH = OptimizerConfig()
+
+
+def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEARCH,
                        terms: int | None = None) -> ConvexRoofResult:
     """Convex-roof extension of the pure-state value to a mixed state.
 
@@ -327,7 +333,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = No
     unnormalized decomposition rows. The search result is rejected
     (``OptimizerFailed``) if it exceeds the marginal nonreality entropy of
     either side, or falls below ``certified_lower``, beyond
-    ``max(config.tol, 1e-6)`` slack. A correct decomposition average can do
+    ``OptimizerConfig.tol`` slack. A correct decomposition average can do
     neither: the eigendecomposition start already sits at or below that
     concave envelope, and no decomposition goes below the certified floor.
 
@@ -336,15 +342,12 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig | None = No
     commuting basis), so it is reported by ``bounds_report`` but not used to
     reject results.
     """
-    config = config or OptimizerConfig()
-    roof = minimize_convex_roof(
-        rho, _marginal_entropy_functional(rho.dims), config, terms
-    )
+    roof = minimize_convex_roof(rho, _marginal_entropy_functional(rho.dims), config, terms)
     upper = min(
         nonreality_entropy(rho.marginal("A")),
         nonreality_entropy(rho.marginal("B")),
     )
-    slack = max(config.tol, 1e-6)
+    slack = OptimizerConfig.tol
     if roof.value > upper + slack:
         raise OptimizerFailed(
             f"convex-roof value {roof.value!r} exceeds the marginal-entropy "

@@ -130,3 +130,13 @@ def projectors(basis: np.ndarray) -> np.ndarray:
     """Stack ``(d, d, d)`` of the rank-1 projectors onto the columns of ``basis``."""
     cols = basis.T
     return cols[:, :, None] * np.conj(cols)[:, None, :]
+
+
+def binary_measurement(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """States ``P rho P + Q rho Q`` with ``Q = I - P`` after the nonselective
+    binary measurements ``{P, Q}``, one for each projector ``P`` of the stack
+    ``projs`` ``(k, n, n)``; both sandwiches are taken in one stacked product."""
+    k, n, _ = projs.shape
+    pq = np.concatenate((projs, np.eye(n) - projs))
+    sandwiched = pq @ rho @ pq
+    return sandwiched[:k] + sandwiched[k:]

@@ -26,6 +26,7 @@ decomposition and is not searched.
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +47,8 @@ RESTART_CAP = 1024
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 2000
-    tol: float = 1e-6
     seed: int = 0
+    tol: ClassVar[float] = 1e-6  # fixed slack by which a result may pass an analytic bound
 
     def __post_init__(self):
         if not 1 <= self.restarts <= RESTART_CAP:
@@ -56,8 +57,6 @@ class OptimizerConfig:
             raise BadSpec(f"seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise BadSpec(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise BadSpec(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def _multistart(starts, config: OptimizerConfig):
     return best_x, best_val, SearchDiagnostics(config.restarts, best_label, iterations, converged)
 
 
-def minimize_over_bases(objective, warm, config: OptimizerConfig | None = None):
+def minimize_over_bases(objective, warm, config: OptimizerConfig):
     """Minimize ``objective(basis)`` over orthonormal bases of the dimension
     of the unitary ``warm``.
 
@@ -270,7 +269,6 @@ def minimize_over_bases(objective, warm, config: OptimizerConfig | None = None):
     The result never exceeds the objective at the identity basis or at
     ``warm``, and is bit-reproducible for a fixed config and ``warm``.
     """
-    config = config or OptimizerConfig()
     warm = np.asarray(warm, dtype=complex)
     dim = warm.shape[0]
     x0 = np.zeros(angle_count(dim))
@@ -296,7 +294,7 @@ class ConvexRoofResult:
 
 
 def minimize_convex_roof(rho: DensityOperator, weighted_functional,
-                         config: OptimizerConfig | None = None,
+                         config: OptimizerConfig,
                          terms: int | None = None) -> ConvexRoofResult:
     """Minimize the decomposition average of a pure-state functional.
 
@@ -322,7 +320,6 @@ def minimize_convex_roof(rho: DensityOperator, weighted_functional,
     is reached, so larger decompositions must be requested explicitly, up to
     ``ROOF_CAP``.
     """
-    config = config or OptimizerConfig()
     q, evecs = np.linalg.eigh(rho.matrix)
     keep = q > RANK_TOL
     q, evecs = q[keep], evecs[:, keep]

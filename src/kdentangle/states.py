@@ -11,7 +11,7 @@ from . import linalg
 from .errors import BadSpec, DimensionMismatch, NotUnitary
 
 DIM_CAP = 64
-NORM_TOL = 1e-10
+NORM_TOL = 1e-10  # pure norm and density checks alike: every pure state has a density
 FILE_TOL = 1e-8
 SCHMIDT_CUTOFF = 1e-9
 BASIS_TOL = 1e-10
@@ -89,13 +89,13 @@ class DensityOperator:
         n = self.dims.total
         if m.shape != (n, n):
             raise DimensionMismatch(f"matrix shape {m.shape} != ({n}, {n})")
-        if np.abs(m - linalg.dagger(m)).max() > 1e-10:
-            raise BadSpec("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise BadSpec(f"trace {complex(np.trace(m))!r} deviates from 1 beyond 1e-10")
+        if np.abs(m - linalg.dagger(m)).max() > NORM_TOL:
+            raise BadSpec(f"density matrix is not Hermitian within {NORM_TOL:g}")
+        if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
+            raise BadSpec(f"trace {complex(np.trace(m))!r} deviates from 1 beyond {NORM_TOL:g}")
         w = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)
-        if w[0] < -1e-10:
-            raise BadSpec(f"negative eigenvalue {w[0]:.3e} below -1e-10")
+        if w[0] < -NORM_TOL:
+            raise BadSpec(f"negative eigenvalue {w[0]:.3e} below {-NORM_TOL:g}")
         object.__setattr__(self, "matrix", _freeze(m))
 
     def marginal(self, side: str = "A") -> np.ndarray:
@@ -232,22 +232,16 @@ def product_state(dims: BipartiteDims | None = None) -> BipartitePureState:
     return basis_ket(dims, 0, 0)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_pure(dims: BipartiteDims, seed=0) -> BipartitePureState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
     return BipartitePureState(dims, z / np.linalg.norm(z))
 
 
 def haar_unitary(dim: int, seed=0) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a complex Ginibre matrix."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
@@ -255,7 +249,7 @@ def haar_unitary(dim: int, seed=0) -> np.ndarray:
 
 
 def random_product_pure(dims: BipartiteDims, seed=0) -> BipartitePureState:
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     za = rng.standard_normal(dims.da) + 1j * rng.standard_normal(dims.da)
     zb = rng.standard_normal(dims.db) + 1j * rng.standard_normal(dims.db)
     amps = np.kron(za / np.linalg.norm(za), zb / np.linalg.norm(zb))
@@ -269,7 +263,7 @@ def random_entangled_pure(dims: BipartiteDims, min_coeff: float = 0.1, seed=0) -
     share of the remaining weight ``1 - d * min_coeff**2``; at the feasibility
     limit ``min_coeff = 1/sqrt(d)`` they are all equal.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     d = min(dims.da, dims.db)
     if min_coeff * np.sqrt(d) > 1.0:
         raise BadSpec(f"min_coeff {min_coeff} infeasible for Schmidt rank {d}")
@@ -287,7 +281,7 @@ def random_mixed(dims: BipartiteDims, rank: int, seed=0) -> DensityOperator:
     """Rank-``rank`` mixed state as the ancilla marginal of a Haar pure state."""
     if rank < 1:
         raise BadSpec(f"rank must be >= 1, got {rank}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = dims.total
     z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     z /= np.linalg.norm(z)
@@ -395,7 +389,7 @@ def _pairs_to_complex(data, shape_desc: str) -> np.ndarray:
 def state_from_json(obj: dict):
     """Validate and construct a state from the parsed file object.
 
-    Invariants are enforced at tolerance 1e-8, after which the norm or trace
+    Invariants are enforced at tolerance ``FILE_TOL``, after which the norm or trace
     is renormalized exactly (and roundoff-negative eigenvalues clipped).
     """
     if not isinstance(obj, dict):
@@ -425,14 +419,14 @@ def state_from_json(obj: dict):
         if m.ndim != 2 or m.shape != (dims.total, dims.total):
             raise BadSpec(f"data shape {m.shape} != dims product {dims.total}")
         if np.abs(m - linalg.dagger(m)).max() > FILE_TOL:
-            raise BadSpec("density data not Hermitian within 1e-8")
+            raise BadSpec(f"density data not Hermitian within {FILE_TOL:g}")
         m = (m + linalg.dagger(m)) / 2
         tr = np.trace(m).real
         if abs(tr - 1.0) > FILE_TOL:
             raise BadSpec(f"trace {float(tr)!r} deviates from 1 beyond {FILE_TOL:g}")
         w, v = np.linalg.eigh(m)
         if w[0] < -FILE_TOL:
-            raise BadSpec(f"negative eigenvalue {w[0]:.3e} below -1e-8")
+            raise BadSpec(f"negative eigenvalue {w[0]:.3e} below {-FILE_TOL:g}")
         w = np.clip(w, 0.0, None)
         m = (v * w) @ linalg.dagger(v)
         return DensityOperator(dims, m / np.trace(m).real)

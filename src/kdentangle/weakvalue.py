@@ -114,13 +114,10 @@ def _cell_counts(rho_mat, projs, bases_y, shots, master_seed, cells):
     # preparation keeps this operation order; algebraically equal forms such
     # as <V^dag y| sigma |V^dag y> draw other records.
     k, n, _ = projs.shape
-    eye = np.eye(n)
-    pq = np.concatenate((projs, eye - projs))
-    sandwiched = pq @ rho_mat @ pq
     states = np.empty((k, 2, n, n), dtype=complex)
     states[:, 0] = rho_mat
-    np.add(sandwiched[:k], sandwiched[k:], out=states[:, 1])
-    v = eye + (np.exp(-1j * np.pi / 2) - 1.0) * projs
+    states[:, 1] = linalg.binary_measurement(rho_mat, projs)
+    v = np.eye(n) + (np.exp(-1j * np.pi / 2) - 1.0) * projs
     preps = v[:, None] @ states @ np.conj(v[:, None]).swapaxes(-1, -2)
     born = np.einsum("xiy,xpij,xjy->xpy", np.conj(bases_y), preps, bases_y).real
     p = np.maximum(born, 0.0)
@@ -196,8 +193,11 @@ def sampled_max_nonreality(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
     return float(np.cumsum(np.abs(est).sum(axis=1))[-1])
 
 
+SAMPLED_SEARCH = OptimizerConfig(restarts=4, max_iters=150)
+
+
 def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
-                         config: OptimizerConfig | None = None):
+                         config: OptimizerConfig = SAMPLED_SEARCH):
     """Estimate the pure-state entanglement value from sampled statistics.
 
     The outer basis search runs classically on the sampled objective, warm
@@ -206,7 +206,6 @@ def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
     """
     if shots_per_cell < 1:
         raise BadSpec(f"shots_per_cell must be >= 1, got {shots_per_cell}")
-    config = config or OptimizerConfig(restarts=4, max_iters=150)
     dims = state.dims.as_tuple()
     mat = state.outer()
     objective = lambda basis: sampled_max_nonreality(

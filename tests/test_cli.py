@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kdentangle as ke
-from kdentangle import cli, entanglement, optimize, states, verify
+from kdentangle import cli, entanglement, optimize, states, verify, weakvalue
+from kdentangle.errors import OptimizerFailed
 
 RUN = [sys.executable, "-m", "kdentangle"]
 # the child imports the package this session imported, installed or not
@@ -118,20 +120,16 @@ def test_mixed_rejects_terms_above_cap(capsys):
     assert "terms 100 above the cap" in capsys.readouterr().err
 
 
-def test_mixed_rejects_non_finite_tol(capsys):
-    assert cli.main(["mixed", "--builtin", "werner:0.5", "--restarts", "1",
-                     "--terms", "4", "--tol", "nan"]) == 2
-    assert "tol must be positive and finite" in capsys.readouterr().err
-
-
-def test_mixed_rejects_restarts_above_cap(monkeypatch, capsys):
+def test_mixed_rejects_restarts_above_cap(tmp_path, monkeypatch, capsys):
     # the restarts and the seed are checked before any start runs, so 10^9
     # restarts never reach the search, and a negative seed is named as the
-    # fault instead of failing in numpy after the first start
+    # fault by every command, instead of failing in numpy after the first
+    # start, blaming a state spec or being echoed in a report
     def no_search(*args, **kwargs):
         raise AssertionError("a start ran")
 
     monkeypatch.setattr(optimize, "_scipy_minimize", no_search)
+    monkeypatch.chdir(tmp_path)  # kd-dist would write its table here
     negative_seed = "seed must be >= 0, got -1"
     for argv, message in (
         (["mixed", "--builtin", "werner:0.5", "--restarts", "1000000000"],
@@ -141,9 +139,42 @@ def test_mixed_rejects_restarts_above_cap(monkeypatch, capsys):
         (["bounds", "--builtin", "werner:0.5", "--seed", "-1"], negative_seed),
         (["weak-sim", "--builtin", "bell", "--seed", "-1"], negative_seed),
         (["verify", "--seed", "-1"], negative_seed),
+        (["pure", "--builtin", "random-pure", "--seed", "-1"], negative_seed),
+        (["kd-dist", "--builtin", "random-pure", "--seed", "-1"], negative_seed),
+        (["pure", "--builtin", "bell", "--seed", "-1"], negative_seed),
     ):
         assert cli.main(argv) == 2
-        assert message in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, module, name, preset", [
+    (["mixed", "--builtin", "werner:0.5"], cli, "mixed_entanglement",
+     entanglement.ROOF_SEARCH),
+    (["bounds", "--builtin", "werner:0.5"], cli, "bounds_report",
+     entanglement.ASYMMETRY_SEARCH),
+    (["weak-sim", "--builtin", "bell"], weakvalue, "sampled_entanglement",
+     weakvalue.SAMPLED_SEARCH),
+], ids=["mixed", "bounds", "weak-sim"])
+@pytest.mark.parametrize("restarts", [None, 3], ids=["default", "restarts-3"])
+def test_searches_run_with_the_library_presets(argv, module, name, preset, restarts,
+                                               monkeypatch):
+    # the CLI changes nothing of a search's preset but what its options set
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(next(a for a in args if isinstance(a, optimize.OptimizerConfig)))
+        raise OptimizerFailed("captured")
+
+    monkeypatch.setattr(module, name, capture)
+    extra = [] if restarts is None else ["--restarts", str(restarts)]
+    assert cli.main([*argv, "--seed", "5", *extra]) == 4
+    expected = dataclasses.replace(preset, seed=5)
+    if restarts is not None:
+        expected = dataclasses.replace(expected, restarts=restarts)
+    assert seen == [expected]
 
 
 def test_bounds_rejects_side_above_pattern_cap(monkeypatch, capsys):
@@ -189,7 +220,6 @@ def test_verify_failure_exit_code():
 
 def test_optimizer_failure_exit_code(monkeypatch):
     from kdentangle import cli
-    from kdentangle.errors import OptimizerFailed
 
     def boom(*args, **kwargs):
         raise OptimizerFailed("simulated bound violation")
@@ -457,7 +487,7 @@ REPORT_KEYS = {
     "mixed": (
         ["mixed", "--builtin", "bell", "--restarts", "1"],
         ["command", "dims", "value", "normalized", "probabilities", "pure_states",
-         "diagnostics", "seed", "tol", "restarts", "terms", "wall_time_s"],
+         "diagnostics", "seed", "restarts", "terms", "wall_time_s"],
     ),
     "bounds": (
         ["bounds", "--builtin", "werner:0.0", "--restarts", "1"],
@@ -467,9 +497,8 @@ REPORT_KEYS = {
     ),
     "weak-sim": (
         ["weak-sim", "--builtin", "bell", "--shots", "1000", "--restarts", "1"],
-        ["command", "dims", "estimate", "best_basis_estimate", "reference",
-         "deviation", "shots_per_cell", "records", "diagnostics", "seed",
-         "restarts", "wall_time_s"],
+        ["command", "dims", "estimate", "reference", "deviation", "shots_per_cell",
+         "records", "diagnostics", "seed", "restarts", "wall_time_s"],
     ),
 }
 
@@ -490,6 +519,7 @@ def test_report_keys(command, tmp_path, monkeypatch, capsys):
     ["kd-dist", "--builtin", "bell", "--tol", "1e-3"],
     ["bounds", "--builtin", "bell", "--tol", "1e-3"],
     ["weak-sim", "--builtin", "bell", "--tol", "1e-3"],
+    ["mixed", "--builtin", "bell", "--tol", "1e-3"],
 ])
 def test_unread_options_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -285,7 +285,7 @@ def test_two_qubit_normalized_equals_concurrence():
 def test_convexity_spot_check():
     # mixtures of two-qubit rank-2 states; four decomposition terms are
     # complete for two qubits, so both sides are tight at optimizer precision
-    cfg = ke.OptimizerConfig(restarts=8, max_iters=800, seed=9, tol=1e-6)
+    cfg = ke.OptimizerConfig(restarts=8, max_iters=800, seed=9)
     rng_a = np.random.default_rng([50, 0])
     rng_b = np.random.default_rng([50, 1])
     dims = ke.BipartiteDims(2, 2)

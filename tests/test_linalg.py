@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kdentangle import linalg
 from kdentangle.errors import DimensionMismatch
-from kdentangle.states import bell_state, haar_unitary
+from kdentangle.states import BipartiteDims, bell_state, haar_pure, haar_unitary
 
 
 def test_svd_examples():
@@ -99,3 +99,18 @@ def test_embed_local_rejects_bad_stack():
         linalg.embed_local(np.zeros((1, 3, 3)), (2, 3), "A")
     with pytest.raises(ValueError):
         linalg.embed_local(np.zeros((1, 2, 2)), (2, 3), "C")
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
+def test_binary_measurement_is_the_explicit_sum(da, db):
+    # each state equals P rho P + Q rho Q taken one projector at a time,
+    # bit for bit, so the disturbance and the sampled records keep their bits
+    rng = np.random.default_rng([da, db])
+    for _ in range(20):
+        rho = haar_pure(BipartiteDims(da, db), rng).outer()
+        projs = linalg.embed_local(linalg.projectors(haar_unitary(da, rng)), (da, db))
+        after = linalg.binary_measurement(rho, projs)
+        assert after.shape == projs.shape
+        for p, out in zip(projs, after, strict=True):
+            q = np.eye(da * db) - p
+            assert out.tobytes() == (p @ rho @ p + q @ rho @ q).tobytes()

@@ -92,9 +92,6 @@ def test_config_validation():
     for max_iters in (0, -1):
         with pytest.raises(BadSpec):
             ke.OptimizerConfig(max_iters=max_iters)
-    for tol in (0.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(BadSpec):
-            ke.OptimizerConfig(tol=tol)
 
 
 def objective_for(rho):

@@ -80,6 +80,17 @@ def test_sampled_entanglement_bell_quick():
     assert abs(value - 1.0) <= 5 * 4 / np.sqrt(shots)
 
 
+@pytest.mark.parametrize("dims, seed", [((2, 2), 0), ((2, 3), 1), ((3, 3), 2)])
+def test_sampled_entanglement_value_is_its_basis_value(dims, seed):
+    # the objective is a deterministic function of the basis, so the returned
+    # basis, evaluated again, gives the returned value exactly
+    state = ke.haar_pure(ke.BipartiteDims(*dims), seed)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=40, seed=seed)
+    value, basis, _ = ke.sampled_entanglement(state, 2000, cfg)
+    again = ke.sampled_max_nonreality(state.outer(), dims, basis, 2000, seed)
+    assert again == value
+
+
 def test_sampled_entanglement_rejects_bad_shots():
     with pytest.raises(BadSpec):
         ke.sampled_entanglement(ke.bell_state(), 0)
