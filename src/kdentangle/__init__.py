@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     KdToolError,
-    NoConvergence,
     NotPSD,
     NotUnitary,
     OptimizerFailed,
@@ -45,7 +44,6 @@ from .linalg import (
     commutator_trace_norm,
     embed_local,
     partial_trace,
-    svd,
     trace_norm,
 )
 from .optimize import (

@@ -14,6 +14,8 @@ from .errors import BadSpec, DimensionMismatch, DomainError, NotPSD, OptimizerFa
 from .kd import _max_nonreality_mat
 from .optimize import ConvexRoofResult, OptimizerConfig, minimize_convex_roof, minimize_over_bases
 from .states import (
+    DIM_CAP,
+    NORM_TOL,
     BipartiteDims,
     BipartitePureState,
     DensityOperator,
@@ -22,7 +24,6 @@ from .states import (
     schmidt,
 )
 
-EIG_FLOOR = -1e-10
 SNAP = 1e-15
 # Largest local dimension the asymmetry bound enumerates: one evaluation stacks
 # 2**(d-1) - 1 sign patterns, 511 at the cap (~29 MB per stack at N = 60).
@@ -45,12 +46,14 @@ def nonreality_entropy(rho_local) -> float:
     subsystem density matrix.
 
     Vanishes exactly on pure states and is maximal on the maximally mixed
-    state, where it equals ``sqrt(d - 1)``.
+    state, where it equals ``sqrt(d - 1)``. A ``d x d`` marginal of an accepted
+    state has eigenvalues down to ``-NORM_TOL * DIM_CAP / d``; below, ``NotPSD``.
     """
     m = as_state_matrix(rho_local)
     lam = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)
-    if lam[0] < EIG_FLOOR:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below {EIG_FLOOR:g}")
+    floor = -NORM_TOL * DIM_CAP / lam.size
+    if lam[0] < floor:
+        raise NotPSD(f"eigenvalue {lam[0]:.3e} below {floor:.3g}")
     return float(_entropy_from_eigenvalues(lam))
 
 
@@ -240,13 +243,13 @@ def bounds_report(rho: DensityOperator,
             f"lower bound {report.best_lower!r} exceeds upper bound "
             f"{report.best_upper!r} beyond slack"
         )
-    # for a pure state the side-A upper bound is the closed form
-    if rho.purity() >= 1.0 - 1e-10:
-        if report.best_lower > upper + slack or upper > report.best_upper + slack:
-            raise OptimizerFailed(
-                f"pure-state value {upper!r} escapes bounds "
-                f"[{report.best_lower!r}, {report.best_upper!r}]"
-            )
+    # a pure state, of purity at least (1 - NORM_TOL)**2 when accepted, has one
+    # spectrum on both marginals: the side-A closed form is side B's
+    if rho.purity() >= (1.0 - NORM_TOL) ** 2 and upper > upper_b + slack:
+        raise OptimizerFailed(
+            f"pure-state value {upper!r} escapes bounds "
+            f"[{report.best_lower!r}, {report.best_upper!r}]"
+        )
     return report
 
 

@@ -13,10 +13,6 @@ class NotPSD(KdToolError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 
 
-class NoConvergence(KdToolError):
-    """An iterative matrix factorization failed to converge."""
-
-
 class NotUnitary(KdToolError):
     """Matrix columns are not orthonormal within tolerance."""
 

@@ -45,11 +45,6 @@ def born_probabilities(rho_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _check_table(values: np.ndarray, p_first: np.ndarray, p_second: np.ndarray):
-    total = values.sum()
-    if abs(total.real - 1.0) > MARGINAL_TOL or abs(total.imag) > MARGINAL_TOL:
-        raise BadSpec(
-            f"table normalization {complex(total)!r} deviates from 1 beyond {MARGINAL_TOL:g}"
-        )
     dev_first = np.abs(values.sum(axis=1) - p_first).max()
     dev_second = np.abs(values.sum(axis=0) - p_second).max()
     if dev_first > MARGINAL_TOL or dev_second > MARGINAL_TOL:

@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import DimensionMismatch
 
 
 def as_matrix(a) -> np.ndarray:
@@ -26,28 +26,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).T
 
 
-def svd(a):
-    """Singular value decomposition ``a = u @ diag(s) @ v^dag``.
-
-    Returns ``(u, s, v)`` with descending ``s >= 0`` and orthonormal columns
-    in both ``u`` and ``v``.
-    """
-    m = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    k = min(m.shape)
-    return u[:, :k], s[:k], dagger(vh)[:, :k]
-
-
 def trace_norm(a) -> float:
     """Sum of singular values (Schatten-1 norm)."""
-    m = as_matrix(a)
-    try:
-        return float(np.linalg.svd(m, compute_uv=False).sum())
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
 def hermitian_trace_norm(h):

@@ -162,12 +162,9 @@ def schmidt(state: BipartitePureState) -> SchmidtDecomposition:
     The returned coefficients are the descending singular values; ``rank``
     counts coefficients strictly above ``SCHMIDT_CUTOFF``.
     """
-    u, s, v = linalg.svd(state.matrix())
+    u, s, vh = np.linalg.svd(state.matrix())
     rank = int(np.count_nonzero(s > SCHMIDT_CUTOFF))
-    lam_sum = float(np.sum(s**2))
-    if abs(lam_sum - 1.0) > 1e-10:
-        raise BadSpec(f"squared Schmidt coefficients sum to {lam_sum!r}, not 1")
-    return SchmidtDecomposition(s, u, np.conj(v), rank)
+    return SchmidtDecomposition(s, u[:, :s.size], vh[:s.size].T, rank)
 
 
 def apply_local_unitary(state, u_a, u_b):
@@ -333,16 +330,18 @@ def make_basis(spec: str, dim: int) -> np.ndarray:
     if name == "random":
         try:
             seed = int(arg) if arg else 0
-        except ValueError as exc:
-            raise BadSpec(f"bad seed in basis spec {spec!r}") from exc
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise BadSpec(f"bad seed in basis spec {spec!r}")
         return haar_unitary(dim, seed)
     kets = _pairs_to_complex(_read_json(spec, "basis file"), f"basis file {spec!r}")
     try:
         m = require_basis(kets.T, dim, tol=FILE_TOL)
     except (DimensionMismatch, NotUnitary) as exc:
         raise BadSpec(f"basis file {spec!r}: {exc}") from exc
-    u, _, v = linalg.svd(m)
-    return u @ linalg.dagger(v)
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
 
 
 # ---------------------------------------------------------------------------

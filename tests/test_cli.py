@@ -385,6 +385,15 @@ def test_argumentless_spec_rejects_an_argument(argv, spec, tmp_path, monkeypatch
     assert f"{spec!r}" in err and "takes no argument" in err
 
 
+@pytest.mark.parametrize("spec", ["random:-1", "random:1.5"])
+def test_bad_random_basis_seed_names_its_spec(spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["kd-dist", "--builtin", "bell", "--basis-y", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"bad seed in basis spec {spec!r}" in err
+
+
 json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers()
                 | st.integers(0, 400).map(lambda e: -10**e))
 

@@ -8,27 +8,6 @@ from kdentangle.errors import DimensionMismatch
 from kdentangle.states import BipartiteDims, bell_state, haar_pure, haar_unitary
 
 
-def test_svd_examples():
-    _, s, _ = linalg.svd(np.diag([3.0, 2.0]))
-    assert np.allclose(s, [3, 2])
-    _, s, _ = linalg.svd(np.array([[0, 1], [0, 0]], dtype=complex))
-    assert np.allclose(s, [1, 0])
-    # reshaped maximally entangled amplitudes
-    _, s, _ = linalg.svd(np.eye(2) / np.sqrt(2))
-    assert np.allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(7)
-    for shape in ((3, 3), (2, 5), (6, 4)):
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u, s, v = linalg.svd(m)
-        assert np.linalg.norm(u @ np.diag(s) @ v.conj().T - m, 2) < 1e-9 * max(s)
-        assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() < 1e-10
-        assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-10
-        assert np.all(np.diff(s) <= 0)
-
-
 def test_trace_norm_examples():
     assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
     sy = np.array([[0, -1j], [1j, 0]])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kdentangle as ke
 from kdentangle.errors import BadSpec, DimensionMismatch, NotUnitary
+from kdentangle.states import NORM_TOL
 
 DIMS_GRID = [(2, 2), (2, 3), (3, 3), (2, 4)]
 
@@ -55,7 +56,66 @@ def test_accepted_pure_state_has_density(seed, error, dims):
         state = ke.BipartitePureState(d, amps)
     except BadSpec:
         return
-    state.density()
+    ke.pure_entanglement(state)
+    _kd_tables(state.density(), seed)
+
+
+def _kd_tables(rho, seed):
+    """Both KD tables of ``rho`` over seeded Haar bases."""
+    a = ke.haar_unitary(rho.dims.da, seed)
+    y = ke.haar_unitary(rho.dims.total, seed)
+    ke.kd_marginal(rho, a, y)
+    ke.kd_full(rho, a, ke.haar_unitary(rho.dims.db, seed), y)
+
+
+# a squared norm or trace just inside NORM_TOL: the types accept these states,
+# so nothing after them may reject them; roundoff pushes some past the
+# tolerance, and the type rejects those
+EDGE = NORM_TOL * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pure_states_at_the_norm_boundary_end_in_an_answer(sign):
+    accepted = 0
+    for dims in DIMS_GRID:
+        d = ke.BipartiteDims(*dims)
+        for seed in range(50):
+            amps = ke.haar_pure(d, seed).amplitudes * np.sqrt(1 + sign * EDGE)
+            try:
+                state = ke.BipartitePureState(d, amps)
+            except BadSpec:
+                continue
+            accepted += 1
+            ke.pure_entanglement(state)
+            _kd_tables(state.density(), seed)
+    assert accepted >= 20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_densities_at_the_trace_boundary_end_in_an_answer(sign):
+    accepted = 0
+    for dims in DIMS_GRID:
+        d = ke.BipartiteDims(*dims)
+        for seed in range(50):
+            m = ke.random_mixed(d, 1 + seed % d.total, seed).matrix * (1 + sign * EDGE)
+            try:
+                rho = ke.DensityOperator(d, m)
+            except BadSpec:
+                continue
+            accepted += 1
+            _kd_tables(rho, seed)
+    assert accepted >= 20
+
+
+def test_state_at_the_eigenvalue_floor_ends_in_an_answer():
+    # rho >= -NORM_TOL I allows Tr_A rho >= -2 NORM_TOL I: here the B
+    # marginal has the eigenvalue -1.8e-10
+    d = ke.BipartiteDims(2, 3)
+    rho = ke.DensityOperator(d, np.diag([-9e-11, 0.5 + 9e-11, 0.5 + 9e-11, -9e-11, 0, 0]))
+    assert abs(ke.nonreality_entropy(rho.marginal("B")) - 1.0) < 1e-9
+    config = ke.OptimizerConfig(restarts=2, max_iters=50)
+    ke.bounds_report(rho, config)
+    ke.mixed_entanglement(rho, config)
 
 
 def test_density_validation():
@@ -91,6 +151,11 @@ def test_schmidt_roundtrip_random():
             rebuilt = sum(c * np.kron(sd.basis_a[:, j], sd.basis_b[:, j])
                           for j, c in enumerate(sd.coefficients))
             assert np.abs(rebuilt - state.amplitudes).max() < 1e-9
+            assert np.all(np.diff(sd.coefficients) <= 0)
+            k = min(da, db)
+            for basis, dim in ((sd.basis_a, da), (sd.basis_b, db)):
+                assert basis.shape == (dim, k)
+                assert np.abs(basis.conj().T @ basis - np.eye(k)).max() < 1e-10
 
 
 def test_schmidt_matches_marginal_spectrum():
