@@ -133,7 +133,7 @@ def cmd_kd_dist(args) -> int:
     basis_y = make_basis(args.basis_y, dims.total)
     full = args.reconstruct or args.form == "full"
     if full:
-        basis_b = make_basis(args.basis_b, dims.db)
+        basis_b = make_basis(args.basis_b or "computational", dims.db)
         dist = kd.kd_full(rho, basis_a, basis_b, basis_y)
     else:
         dist = kd.kd_marginal(rho, basis_a, basis_y)
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(format="csv")  # tables default to CSV; reports to JSON
     p.add_argument("--basis-a", default="computational")
-    p.add_argument("--basis-b", default="computational")
+    p.add_argument("--basis-b", help="full form only (default computational)")
     p.add_argument("--basis-y", default="computational")
     p.add_argument("--form", choices=["marginal", "full"], default="marginal")
     p.add_argument("--reconstruct", action="store_true",
@@ -348,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "kd-dist" and args.basis_b is not None
+            and not (args.reconstruct or args.form == "full")):
+        parser.error("--basis-b is read only by the full form (--form full or --reconstruct)")
     try:
         if args.seed < 0:
             raise BadSpec(f"seed must be >= 0, got {args.seed}")

@@ -110,15 +110,19 @@ def pure_entanglement(state: BipartitePureState) -> PureEntanglementReport:
 # measurement disturbance
 # ---------------------------------------------------------------------------
 
+def _disturbance(m: np.ndarray, projs: np.ndarray) -> float:
+    """Total trace distance between ``m`` and its states after the
+    nonselective binary measurements of the projectors ``projs``."""
+    after = linalg.binary_measurement(m, projs)
+    return float(linalg.hermitian_trace_norm(m - after).sum()) / 2.0
+
+
 def measurement_disturbance(state: BipartitePureState, basis_a) -> float:
     """Total trace distance between the state and its post-measurement states
     under the nonselective binary measurements ``{P_x (x) I, 1 - P_x (x) I}``."""
-    dims = state.dims
-    a = require_basis(basis_a, dims.da)
-    psi_outer = state.outer()
-    projs = linalg.embed_local(linalg.projectors(a), dims.as_tuple())
-    after = linalg.binary_measurement(psi_outer, projs)
-    return float(linalg.hermitian_trace_norm(psi_outer - after).sum()) / 2.0
+    a = require_basis(basis_a, state.dims.da)
+    projs = linalg.embed_local(linalg.projectors(a), state.dims.as_tuple())
+    return _disturbance(state.outer(), projs)
 
 
 def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
@@ -126,9 +130,7 @@ def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
     the composite-state disturbance (trace distance contracts under partial
     trace)."""
     a = require_basis(basis_a, state.dims.da)
-    rho_a = state.density().marginal("A")
-    after = linalg.binary_measurement(rho_a, linalg.projectors(a))
-    return float(linalg.hermitian_trace_norm(rho_a - after).sum()) / 2.0
+    return _disturbance(state.density().marginal("A"), linalg.projectors(a))
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +181,10 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
 
     Returns ``(value, basis, diagnostics)``.
     """
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-    dims = rho.dims.as_tuple()
     _pattern_dim(rho.dims, side)
-    objective = lambda basis: _pattern_sup(rho.matrix, dims, basis, side)
-    warm = np.linalg.eigh(rho.marginal(side))[1]
-    basis, value, diag = minimize_over_bases(objective, warm, config)
-    return value, basis, diag
+    dims = rho.dims.as_tuple()
+    return minimize_over_bases(
+        rho, lambda basis: _pattern_sup(rho.matrix, dims, basis, side), config, side)
 
 
 def certified_lower(rho: DensityOperator) -> float:
@@ -237,18 +235,10 @@ def bounds_report(rho: DensityOperator,
     upper = nonreality_entropy(rho.marginal("A"))
     upper_b = nonreality_entropy(rho.marginal("B"))
     report = BoundsReport(lower, upper, lower_b, upper_b, certified_lower(rho))
-    slack = OptimizerConfig.tol
-    if report.best_lower > report.best_upper + slack:
+    if report.best_lower > report.best_upper + OptimizerConfig.tol:
         raise OptimizerFailed(
             f"lower bound {report.best_lower!r} exceeds upper bound "
             f"{report.best_upper!r} beyond slack"
-        )
-    # a pure state, of purity at least (1 - NORM_TOL)**2 when accepted, has one
-    # spectrum on both marginals: the side-A closed form is side B's
-    if rho.purity() >= (1.0 - NORM_TOL) ** 2 and upper > upper_b + slack:
-        raise OptimizerFailed(
-            f"pure-state value {upper!r} escapes bounds "
-            f"[{report.best_lower!r}, {report.best_upper!r}]"
         )
     return report
 
@@ -269,13 +259,9 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREAL
 
     Returns ``(value, basis, diagnostics)``.
     """
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
     dims = rho.dims.as_tuple()
-    objective = lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side)
-    warm = np.linalg.eigh(rho.marginal(side))[1]
-    basis, value, diag = minimize_over_bases(objective, warm, config)
-    return value, basis, diag
+    return minimize_over_bases(
+        rho, lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side), config, side)
 
 
 def _marginal_entropy_functional(dims: BipartiteDims):

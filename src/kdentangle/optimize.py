@@ -258,18 +258,21 @@ def _multistart(starts, config: OptimizerConfig):
     return best_x, best_val, SearchDiagnostics(config.restarts, best_label, iterations, converged)
 
 
-def minimize_over_bases(objective, warm, config: OptimizerConfig):
-    """Minimize ``objective(basis)`` over orthonormal bases of the dimension
-    of the unitary ``warm``.
+def minimize_over_bases(rho: DensityOperator, objective, config: OptimizerConfig,
+                        side: str = "A"):
+    """Minimize ``objective(basis)`` over orthonormal bases of ``side`` of
+    ``rho``; a side other than ``"A"`` or ``"B"`` raises ``ValueError``
+    before any start runs.
 
-    The starts are ``identity``, ``warm`` (angles relative to ``warm``, so
-    zero angles reproduce it exactly), then the seeded restarts relative to
-    the identity. Returns ``(basis, value, diagnostics)``.
+    The starts are ``identity``, ``warm`` (the marginal eigenbasis as
+    ``np.linalg.eigh`` returns it, with angles relative to it, so zero angles
+    reproduce it exactly), then the seeded restarts relative to the identity.
+    Returns ``(value, basis, diagnostics)``.
 
-    The result never exceeds the objective at the identity basis or at
-    ``warm``, and is bit-reproducible for a fixed config and ``warm``.
+    The result never exceeds the objective at the identity basis or at the
+    warm basis, and is bit-reproducible for a fixed state and config.
     """
-    warm = np.asarray(warm, dtype=complex)
+    warm = np.linalg.eigh(rho.marginal(side))[1]
     dim = warm.shape[0]
     x0 = np.zeros(angle_count(dim))
     starts = [
@@ -278,7 +281,7 @@ def minimize_over_bases(objective, warm, config: OptimizerConfig):
     ]
     best_x, best_val, diag = _multistart(starts, config)
     u = unitary_from_angles(best_x, dim)
-    return (warm @ u if diag.best_start == "warm" else u), best_val, diag
+    return best_val, (warm @ u if diag.best_start == "warm" else u), diag
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,7 @@ def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
     """
     if shots_per_cell < 1:
         raise BadSpec(f"shots_per_cell must be >= 1, got {shots_per_cell}")
+    rho = state.density()
     dims = state.dims.as_tuple()
-    mat = state.outer()
-    objective = lambda basis: sampled_max_nonreality(
-        mat, dims, basis, shots_per_cell, config.seed
-    )
-    warm = np.linalg.eigh(linalg.partial_trace(mat, dims, keep="A"))[1]
-    basis, value, diag = minimize_over_bases(objective, warm, config)
-    return value, basis, diag
+    return minimize_over_bases(rho, lambda basis: sampled_max_nonreality(
+        rho.matrix, dims, basis, shots_per_cell, config.seed), config)

@@ -195,6 +195,21 @@ def test_bounds_maximally_mixed():
     assert report["certified_lower"] == 0.0
 
 
+@pytest.mark.parametrize("delta", [4e-11, 9e-11])
+def test_bounds_near_pure_state(delta, tmp_path, capsys):
+    # an accepted state whose A marginal has the eigenvalue delta, which the
+    # square root makes sqrt(delta), while its B marginal is pure: the two
+    # sides' entropies differ by far more than roundoff
+    rho = ke.DensityOperator(ke.BipartiteDims(2, 2), np.diag([1 - delta, 0, delta, 0]))
+    report = ke.bounds_report(rho, ke.OptimizerConfig(restarts=1, max_iters=50))
+    assert abs(report.upper - 2 * np.sqrt(delta * (1 - delta))) < 1e-12
+    assert report.upper_swapped == 0.0
+    path = tmp_path / "near_pure.json"
+    ke.save_state(rho, path)
+    assert cli.main(["bounds", "--state", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "bounds"
+
+
 def test_isotropic_builtin(capsys):
     assert cli.main(["bounds", "--builtin", "isotropic:2:0.7", "--restarts", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -529,11 +544,13 @@ def test_report_keys(command, tmp_path, monkeypatch, capsys):
     ["bounds", "--builtin", "bell", "--tol", "1e-3"],
     ["weak-sim", "--builtin", "bell", "--tol", "1e-3"],
     ["mixed", "--builtin", "bell", "--tol", "1e-3"],
+    ["kd-dist", "--builtin", "bell", "--basis-b", "fourier"],
 ])
-def test_unread_options_rejected(argv):
+def test_unread_options_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    assert argv[3] in capsys.readouterr().err
 
 
 def _no_suite(**kwargs):

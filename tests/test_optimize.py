@@ -101,22 +101,18 @@ def objective_for(rho):
     return lambda basis: _max_nonreality_mat(rho.matrix, dims, basis)
 
 
-def warm_basis(rho):
-    return np.linalg.eigh(rho.marginal("A"))[1]
-
-
 def test_minimize_over_bases_bell():
     # the marginal is maximally mixed, so the objective is flat at 1
     rho = ke.bell_state().density()
     cfg = ke.OptimizerConfig(restarts=3, max_iters=200, seed=0)
-    _, value, _ = ke.minimize_over_bases(objective_for(rho), warm_basis(rho), cfg)
+    value, _, _ = ke.minimize_over_bases(rho, objective_for(rho), cfg)
     assert abs(value - 1.0) < 1e-4
 
 
 def test_minimize_over_bases_product():
     rho = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
     cfg = ke.OptimizerConfig(restarts=4, max_iters=300, seed=0)
-    _, value, _ = ke.minimize_over_bases(objective_for(rho), warm_basis(rho), cfg)
+    value, _, _ = ke.minimize_over_bases(rho, objective_for(rho), cfg)
     assert value < 1e-6
 
 
@@ -125,16 +121,17 @@ def test_minimize_over_bases_warm_start_attains():
     rho = ke.BipartitePureState(ke.BipartiteDims(2, 2), amps).density()
     cfg = ke.OptimizerConfig(restarts=2, max_iters=200, seed=0)
     obj = objective_for(rho)
+    value, _, _ = ke.minimize_over_bases(rho, obj, cfg)
+    assert abs(value - np.sqrt(3) / 2) < 1e-4
+    # never worse than the identity basis or the warm start
+    eigvecs = np.linalg.eigh(rho.marginal("A"))[1]
+    assert value <= obj(np.eye(2, dtype=complex)) + 1e-12
+    assert value <= obj(eigvecs) + 1e-12
     # column phases and order change no projector, so any of them attains
     rng = np.random.default_rng(63)
-    eigvecs = warm_basis(rho)
     phased = eigvecs * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-    for warm in (eigvecs, phased, eigvecs[:, ::-1]):
-        _, value, _ = ke.minimize_over_bases(obj, warm, cfg)
-        assert abs(value - np.sqrt(3) / 2) < 1e-4
-        # never worse than the identity basis or the warm start
-        assert value <= obj(np.eye(2, dtype=complex)) + 1e-12
-        assert value <= obj(warm) + 1e-12
+    for basis in (phased, eigvecs[:, ::-1]):
+        assert abs(obj(basis) - obj(eigvecs)) < 1e-12
 
 
 def test_restart_monotonicity_nested_seeds():
@@ -142,8 +139,8 @@ def test_restart_monotonicity_nested_seeds():
     obj = objective_for(rho)
     few = ke.OptimizerConfig(restarts=8, max_iters=120, seed=4)
     many = ke.OptimizerConfig(restarts=32, max_iters=120, seed=4)
-    _, v_few, _ = ke.minimize_over_bases(obj, warm_basis(rho), few)
-    _, v_many, _ = ke.minimize_over_bases(obj, warm_basis(rho), many)
+    v_few, _, _ = ke.minimize_over_bases(rho, obj, few)
+    v_many, _, _ = ke.minimize_over_bases(rho, obj, many)
     assert v_many <= v_few + 1e-15
 
 
@@ -151,11 +148,22 @@ def test_seeded_determinism():
     rho = ke.random_mixed(ke.BipartiteDims(2, 3), 2, 5)
     obj = objective_for(rho)
     cfg = ke.OptimizerConfig(restarts=4, max_iters=150, seed=11)
-    b1, v1, d1 = ke.minimize_over_bases(obj, warm_basis(rho), cfg)
-    b2, v2, d2 = ke.minimize_over_bases(obj, warm_basis(rho), cfg)
+    v1, b1, d1 = ke.minimize_over_bases(rho, obj, cfg)
+    v2, b2, d2 = ke.minimize_over_bases(rho, obj, cfg)
     assert v1 == v2
     assert d1 == d2
     assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("search", [ke.minimized_nonreality, ke.asymmetry_lower_bound])
+def test_bad_side_rejected_before_any_start(search, monkeypatch):
+    def no_start(*args, **kwargs):
+        raise AssertionError("a start ran")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_start)
+    rho = ke.bell_state().density()
+    with pytest.raises(ValueError, match="'A' or 'B'"):
+        search(rho, side="C")
 
 
 def marginal_entropy(dims):
