@@ -165,14 +165,7 @@ def cmd_kd_dist(args) -> int:
 def cmd_pure(args):
     state = as_pure(_resolve_state(args))
     report = pure_entanglement(state)
-    return {
-        "dims": [state.dims.da, state.dims.db],
-        "value": report.value,
-        "normalized": report.normalized,
-        "schmidt_rank": report.schmidt_rank,
-        "concurrence": report.concurrence,
-        "entropy_of_entanglement": report.entropy_of_entanglement,
-    }, {}
+    return {"dims": [state.dims.da, state.dims.db], **dataclasses.asdict(report)}, {}
 
 
 @_report

@@ -150,6 +150,8 @@ def _sign_patterns(d: int) -> np.ndarray:
 
 def _pattern_dim(dims: BipartiteDims, side: str) -> int:
     """Dimension of the searched side; ``BadSpec`` above ``PATTERN_CAP``."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
     d = dims.da if side == "A" else dims.db
     if d > PATTERN_CAP:
         raise BadSpec(

@@ -101,9 +101,6 @@ class DensityOperator:
     def marginal(self, side: str = "A") -> np.ndarray:
         return linalg.partial_trace(self.matrix, self.dims.as_tuple(), keep=side)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:

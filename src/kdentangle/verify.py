@@ -2,7 +2,9 @@
 
 Each suite checks one analytic statement against an independent route
 (direct enumeration, probability formulas, a known two-qubit oracle, or
-finite-sample statistics) and reports the largest observed deviation.
+finite-sample statistics) and returns only what it measured: ``(passed,
+max_dev, detail)``, ``max_dev`` the largest observed deviation. ``run_suite``
+is the one way into a suite; it names, sizes and times every suite.
 Default sizes match the package acceptance battery.
 """
 
@@ -37,7 +39,7 @@ from .states import (
     werner_state,
 )
 
-DEFAULT_DIMS = ((2, 2), (2, 3), (3, 3))
+DEFAULT_DIMS = (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3))
 
 
 @dataclass(frozen=True)
@@ -49,20 +51,13 @@ class SuiteResult:
     seconds: float
 
 
-def _result(name, passed, max_dev, detail, t0):
-    return SuiteResult(name, bool(passed), float(max_dev), detail, time.time() - t0)
+def _dims_list(dims: BipartiteDims | None) -> list[BipartiteDims]:
+    return list(DEFAULT_DIMS) if dims is None else [dims]
 
 
-def _dims_list(dims):
-    if dims is None:
-        return [BipartiteDims(*d) for d in DEFAULT_DIMS]
-    return [dims if isinstance(dims, BipartiteDims) else BipartiteDims(*dims)]
-
-
-def suite_lemma1(seed: int = 0, count: int = 50) -> SuiteResult:
+def suite_lemma1(seed: int = 0, count: int = 50) -> tuple[bool, float, str]:
     """Trace norm as the largest basis sum of absolute diagonal elements,
     attained at the eigenbasis of a normal operator."""
-    t0 = time.time()
     rng = np.random.default_rng([seed, 31])
     eig_dev = 0.0
     excess = 0.0
@@ -79,16 +74,13 @@ def suite_lemma1(seed: int = 0, count: int = 50) -> SuiteResult:
             s = float(np.abs(np.einsum("iy,ij,jy->y", np.conj(v), op, v)).sum())
             excess = max(excess, s - tn)
     passed = eig_dev <= 1e-10 and excess <= 1e-9
-    return _result(
-        "lemma1", passed, max(eig_dev, excess),
-        f"eigenbasis dev {eig_dev:.3e}, random-basis excess {excess:.3e}", t0,
-    )
+    return (passed, max(eig_dev, excess),
+            f"eigenbasis dev {eig_dev:.3e}, random-basis excess {excess:.3e}")
 
 
-def suite_prop1(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
+def suite_prop1(seed: int = 0, count: int = 50, dims=None) -> tuple[bool, float, str]:
     """Per-basis supremum route equals the probability route on pure states,
     random second bases never beat it, and the commutator eigenbasis attains it."""
-    t0 = time.time()
     rng = np.random.default_rng([seed, 32])
     dims_list = _dims_list(dims)
     dev = 0.0
@@ -122,16 +114,13 @@ def suite_prop1(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
             attained += float(np.abs(dist.values.imag[x]).sum())
         attain_dev = max(attain_dev, abs(attained - analytic))
     passed = dev <= 1e-9 and excess <= 1e-9 and attain_dev <= 1e-6 and bound_dev <= 1e-9
-    return _result(
-        "prop1", passed, max(dev, excess, attain_dev, bound_dev),
-        f"route dev {dev:.3e}, random excess {excess:.3e}, "
-        f"attainment dev {attain_dev:.3e}", t0,
-    )
+    return (passed, max(dev, excess, attain_dev, bound_dev),
+            f"route dev {dev:.3e}, random excess {excess:.3e}, "
+            f"attainment dev {attain_dev:.3e}")
 
 
-def suite_prop2(seed: int = 0, count: int = 100, dims=None) -> SuiteResult:
+def suite_prop2(seed: int = 0, count: int = 100, dims=None) -> tuple[bool, float, str]:
     """Numeric basis minimization lands on the closed form for pure states."""
-    t0 = time.time()
     dims_list = _dims_list(dims)
     config = OptimizerConfig(restarts=2, max_iters=300, seed=seed)
     dev = 0.0
@@ -142,15 +131,14 @@ def suite_prop2(seed: int = 0, count: int = 100, dims=None) -> SuiteResult:
             closed = nonreality_entropy(state.density().marginal("A"))
             numeric, _, _ = minimized_nonreality(state.density(), config)
             dev = max(dev, abs(numeric - closed))
-    return _result("prop2", dev <= 1e-4, dev,
-                   f"max |numeric - closed| = {dev:.3e} over "
-                   f"{count * len(dims_list)} states", t0)
+    return (dev <= 1e-4, dev,
+            f"max |numeric - closed| = {dev:.3e} over "
+            f"{count * len(dims_list)} states")
 
 
-def suite_prop3(seed: int = 0, count: int = 30, dims=None) -> SuiteResult:
+def suite_prop3(seed: int = 0, count: int = 30, dims=None) -> tuple[bool, float, str]:
     """Extremal-asymmetry lower bound never exceeds the pure-state value and
     is tight at maximal entanglement."""
-    t0 = time.time()
     rng = np.random.default_rng([seed, 34])
     dims_list = _dims_list(dims)
     config = OptimizerConfig(restarts=6, max_iters=500, seed=seed)
@@ -165,15 +153,14 @@ def suite_prop3(seed: int = 0, count: int = 30, dims=None) -> SuiteResult:
     lower_bell, _, _ = asymmetry_lower_bound(bell.density(), "A", config)
     tight_dev = abs(lower_bell - 1.0)
     passed = gap <= 1e-6 and tight_dev <= 1e-6
-    return _result("prop3", passed, max(gap, tight_dev),
-                   f"max (lower - value) = {gap:.3e}, "
-                   f"maximal-state tightness dev {tight_dev:.3e}", t0)
+    return (passed, max(gap, tight_dev),
+            f"max (lower - value) = {gap:.3e}, "
+            f"maximal-state tightness dev {tight_dev:.3e}")
 
 
-def suite_prop4(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
+def suite_prop4(seed: int = 0, count: int = 50, dims=None) -> tuple[bool, float, str]:
     """Disturbance route equals the analytic supremum route; the subsystem
     disturbance never exceeds it."""
-    t0 = time.time()
     rng = np.random.default_rng([seed, 35])
     dims_list = _dims_list(dims)
     dev = 0.0
@@ -187,14 +174,13 @@ def suite_prop4(seed: int = 0, count: int = 50, dims=None) -> SuiteResult:
         dev = max(dev, abs(disturb - analytic))
         excess = max(excess, marginal_disturbance(state, basis_a) - disturb)
     passed = dev <= 1e-9 and excess <= 1e-9
-    return _result("prop4", passed, max(dev, excess),
-                   f"identity dev {dev:.3e}, subsystem excess {excess:.3e}", t0)
+    return (passed, max(dev, excess),
+            f"identity dev {dev:.3e}, subsystem excess {excess:.3e}")
 
 
-def suite_prop5(seed: int = 0, count: int = 100) -> SuiteResult:
+def suite_prop5(seed: int = 0, count: int = 100) -> tuple[bool, float, str]:
     """Convex-roof value sits inside the strengthened lower/upper sandwich on
     random rank-2 mixed states."""
-    t0 = time.time()
     families = [BipartiteDims(2, 2), BipartiteDims(2, 3)]
     config = OptimizerConfig(restarts=8, max_iters=800, seed=seed)
     bound_config = OptimizerConfig(restarts=6, max_iters=400, seed=seed)
@@ -211,15 +197,14 @@ def suite_prop5(seed: int = 0, count: int = 100) -> SuiteResult:
         low_gap = max(low_gap, max(lower_a, lower_b) - roof.value)
         high_gap = max(high_gap, roof.value - min(upper_a, upper_b))
     passed = low_gap <= 1e-6 and high_gap <= 1e-6
-    return _result("prop5", passed, max(low_gap, high_gap),
-                   f"lower violation {low_gap:.3e}, upper violation "
-                   f"{high_gap:.3e} over {count} states", t0)
+    return (passed, max(low_gap, high_gap),
+            f"lower violation {low_gap:.3e}, upper violation "
+            f"{high_gap:.3e} over {count} states")
 
 
-def suite_concurrence(seed: int = 0, count: int = 100) -> SuiteResult:
+def suite_concurrence(seed: int = 0, count: int = 100) -> tuple[bool, float, str]:
     """Two-qubit equalities: normalized value = concurrence = 2 sqrt(l1 l2),
     and the concurrence-entropy map reproduces the marginal entropy."""
-    t0 = time.time()
     rng = np.random.default_rng([seed, 37])
     d = BipartiteDims(2, 2)
     dev = 0.0
@@ -233,14 +218,13 @@ def suite_concurrence(seed: int = 0, count: int = 100) -> SuiteResult:
         dev = max(dev, abs(report.concurrence - direct))
         vn = binary_entropy(float(lam[1]))
         dev = max(dev, abs(report.entropy_of_entanglement - vn))
-    return _result("concurrence", dev <= 1e-9, dev,
-                   f"max two-qubit equality dev {dev:.3e}", t0)
+    return (dev <= 1e-9, dev,
+            f"max two-qubit equality dev {dev:.3e}")
 
 
-def suite_roof(seed: int = 0) -> SuiteResult:
+def suite_roof(seed: int = 0) -> tuple[bool, float, str]:
     """Normalized convex roof matches the two-qubit spin-flip oracle on the
     isotropic mixture family."""
-    t0 = time.time()
     p_values = (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
     dev = 0.0
     for p in p_values:
@@ -249,14 +233,13 @@ def suite_roof(seed: int = 0) -> SuiteResult:
         roof = mixed_entanglement(rho, config, terms=4)
         oracle = wootters_concurrence(rho)
         dev = max(dev, abs(roof.value / roof_normalization(rho.dims) - oracle))
-    return _result("roof", dev <= 2e-3, dev,
-                   f"max |roof - oracle| = {dev:.3e} over p in {p_values}", t0)
+    return (dev <= 2e-3, dev,
+            f"max |roof - oracle| = {dev:.3e} over p in {p_values}")
 
 
-def suite_weak(seed: int = 0) -> SuiteResult:
+def suite_weak(seed: int = 0) -> tuple[bool, float, str]:
     """Sampled pipeline lands within the binomial band of the closed form and
     the cell-estimator RMSE scales as c / sqrt(shots) with c <= 4."""
-    t0 = time.time()
     d = BipartiteDims(2, 2)
     lam_state = BipartitePureState(
         d, np.array([np.sqrt(3) / 2, 0, 0, 0.5], dtype=complex)
@@ -292,9 +275,9 @@ def suite_weak(seed: int = 0) -> SuiteResult:
             sq += (est.value.imag - exact) ** 2
         c_fit = max(c_fit, np.sqrt(sq / rmse_seeds) * np.sqrt(n))
     passed = dev <= band and c_fit <= 4.0
-    return _result("weak", passed, dev,
-                   f"max |estimate - closed| = {dev:.3e} (band {band:.3e}), "
-                   f"RMSE coefficient {c_fit:.3f} (cap 4)", t0)
+    return (passed, dev,
+            f"max |estimate - closed| = {dev:.3e} (band {band:.3e}), "
+            f"RMSE coefficient {c_fit:.3f} (cap 4)")
 
 
 SUITES = {
@@ -319,4 +302,6 @@ SUITE_OPTIONS = {
 def run_suite(name: str, seed: int = 0, dims=None, count: int | None = None) -> SuiteResult:
     given = {"dims": dims, "count": count}
     options = {k: given[k] for k in SUITE_OPTIONS[name] if given[k] is not None}
-    return SUITES[name](seed=seed, **options)
+    t0 = time.time()
+    passed, max_dev, detail = SUITES[name](seed=seed, **options)
+    return SuiteResult(name, bool(passed), float(max_dev), detail, time.time() - t0)

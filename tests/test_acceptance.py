@@ -52,7 +52,7 @@ def test_criterion_1_maximal_entanglement():
 
 
 def test_criterion_2_closed_form_agreement():
-    result = verify.suite_prop2(seed=0, count=100)
+    result = verify.run_suite("prop2", count=100)
     passed = result.passed and result.seconds < 120.0
     line = report(2, "closed form vs numeric minimization", passed,
                   f"{result.detail}; {result.seconds:.1f}s (cap 120s)")
@@ -60,19 +60,19 @@ def test_criterion_2_closed_form_agreement():
 
 
 def test_criterion_3_trace_norm_attainment():
-    result = verify.suite_lemma1(seed=0, count=50)
+    result = verify.run_suite("lemma1", count=50)
     line = report(3, "trace-norm attainment", result.passed, result.detail)
     assert result.passed, line
 
 
 def test_criterion_4_two_qubit_equalities():
-    result = verify.suite_concurrence(seed=0, count=100)
+    result = verify.run_suite("concurrence", count=100)
     line = report(4, "two-qubit equalities", result.passed, result.detail)
     assert result.passed, line
 
 
 def test_criterion_5_werner_convex_roof():
-    result = verify.suite_roof(seed=0)
+    result = verify.run_suite("roof")
     passed = result.passed and result.seconds < 300.0
     line = report(5, "convex roof vs spin-flip oracle", passed,
                   f"{result.detail}; {result.seconds:.1f}s (cap 300s)")
@@ -80,7 +80,7 @@ def test_criterion_5_werner_convex_roof():
 
 
 def test_criterion_6_mixed_state_sandwich():
-    result = verify.suite_prop5(seed=0, count=100)
+    result = verify.run_suite("prop5", count=100)
     line = report(
         6, "mixed-state bound sandwich", result.passed,
         f"{result.detail}. The lower inequality is disproven: separable "
@@ -93,7 +93,7 @@ def test_criterion_6_mixed_state_sandwich():
 
 
 def test_criterion_7_disturbance_identity():
-    result = verify.suite_prop4(seed=0, count=50)
+    result = verify.run_suite("prop4", count=50)
     line = report(7, "disturbance identity", result.passed, result.detail)
     assert result.passed, line
 
@@ -182,7 +182,7 @@ def test_criterion_9_invariance_and_faithfulness():
 
 
 def test_criterion_10_weak_value_pipeline():
-    result = verify.suite_weak(seed=0)
+    result = verify.run_suite("weak")
     line = report(10, "sampled estimation pipeline", result.passed,
                   result.detail)
     assert result.passed, line

@@ -155,13 +155,18 @@ def test_seeded_determinism():
     assert np.array_equal(b1, b2)
 
 
+@pytest.mark.parametrize("state", [
+    ke.bell_state(),
+    # side B above the sign-pattern cap: the side is checked before the cap
+    ke.product_state(ke.BipartiteDims(2, 11)),
+], ids=["bell", "product-2x11"])
 @pytest.mark.parametrize("search", [ke.minimized_nonreality, ke.asymmetry_lower_bound])
-def test_bad_side_rejected_before_any_start(search, monkeypatch):
+def test_bad_side_rejected_before_any_start(search, state, monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("a start ran")
 
     monkeypatch.setattr(optimize, "_scipy_minimize", no_start)
-    rho = ke.bell_state().density()
+    rho = state.density()
     with pytest.raises(ValueError, match="'A' or 'B'"):
         search(rho, side="C")
 
