@@ -1,12 +1,15 @@
 """Search over orthonormal bases and over pure-state decomposition isometries.
 
-One seeded multistart driver of derivative-free simplex descent serves both
-searches. It runs over an angle parametrization of unitaries up to column
-phases: one two-index rotation (rotation angle plus relative phase) per index
-pair, ``n(n-1)`` real parameters in total. There are no diagonal phases: a
-phase on a basis vector changes no projector, and a phase on a decomposition
-vector changes no term. The rotations are grouped into rounds of disjoint
-pairs, each round one matrix. Zero angles materialize the identity.
+Both are searches over unitaries, and both hand one seeded multistart driver,
+``_multistart``, a cost of a unitary and named reference starts. Only the
+driver sees angles: it runs derivative-free simplex descent over an angle
+parametrization of unitaries up to column phases, one two-index rotation
+(rotation angle plus relative phase) per index pair, ``n(n-1)`` real
+parameters in total. There are no diagonal phases: a phase on a basis vector
+changes no projector, and a phase on a decomposition vector changes no term.
+The rotations are grouped into rounds of disjoint pairs, each round one
+matrix. Zero angles materialize the identity, so a start begins at its
+reference.
 
 The descent is an in-house adaptive Nelder-Mead written with numpy alone. It
 reproduces scipy 1.17.1's ``minimize(method="Nelder-Mead", adaptive=True)``
@@ -14,13 +17,8 @@ iterate for iterate, so the package needs no scipy, and its import does not
 pay for ``scipy.optimize``. Each descent remembers the values of its last
 ``2(n+1)`` evaluated points: once the simplex has collapsed, reflections and
 shrinks land exactly on vertices it has already evaluated, and a sampled
-objective would redraw the same records there. Objectives must therefore be
-deterministic functions of the angle bytes.
-
-The convex-roof objective is the plain sum of a weighted pure-state
-functional over the unnormalized decomposition rows ``sqrt(p_k) psi_k``, so it
-needs no weights, normalization or mask. A state of rank 1 has only one
-decomposition and is not searched.
+objective would redraw the same records there. Costs must therefore be
+deterministic functions of the unitary.
 """
 
 import functools
@@ -61,6 +59,13 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SearchDiagnostics:
+    """What one search did: ``restarts`` repeats ``config.restarts`` (kept
+    while the benchmark's result digest reads it), ``best_start`` names the
+    winning start and ``iterations`` sums the simplex iterations of all
+    starts. ``converged`` means some start stopped on tolerance before the
+    iteration cap, not that the optimum was found: a search whose answer is
+    exact to roundoff can read ``False``."""
+
     restarts: int
     best_start: str
     iterations: int
@@ -84,7 +89,8 @@ def _rotation_plan(dim: int):
                                 for k in range(1, n // 2)]
         rounds.append([(min(p), max(p)) for p in pairs if max(p) < dim])
     base = np.tile(np.eye(dim, dtype=complex), (len(rounds), 1, 1))
-    r, i, j = np.array([(k, i, j) for k, pairs in enumerate(rounds) for i, j in pairs]).T
+    r, i, j = np.array([(k, i, j) for k, pairs in enumerate(rounds) for i, j in pairs],
+                       dtype=int).reshape(-1, 3).T
     flat = np.concatenate([np.ravel_multi_index(entry, base.shape)
                            for entry in ((r, i, i), (r, j, j), (r, i, j), (r, j, i))])
     base.setflags(write=False)
@@ -225,37 +231,44 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     return SimplexResult(sim[0], float(fsim.min()), nit, nfev, nit < max_iters)
 
 
-def _multistart(starts, config: OptimizerConfig):
-    """Seeded multistart simplex descent.
-
-    ``starts`` is an ordered list of ``(label, objective, x0)``. The seeded
-    uniform restarts ``restart{i}``, drawn from ``[config.seed, i]`` when
-    their descent begins, follow it and use the first start's objective. Each
-    start point competes with its own descent result, so the value never
-    exceeds the objective at any start point. Ties in the best value break
-    toward the lexicographically smallest angle vector. Returns
-    ``(angles, value, diagnostics)``; the winning start is
-    ``diagnostics.best_start``.
+def _multistart(cost, dim: int, references, config: OptimizerConfig):
+    """Seeded multistart simplex descent of ``cost``, a float function of a
+    ``dim x dim`` unitary. ``references`` maps each named start's label, in
+    order, to its reference unitary (``None`` for the identity); the start
+    descends from zero angles on ``cost(ref @ U(a))``. The restarts
+    ``restart{i}``, drawn uniformly from ``[config.seed, i]`` when their
+    descent begins, follow with no reference. Each start point competes with
+    its descent result, so the value never exceeds the cost at any start
+    point; ties break toward the lexicographically smallest angle vector.
+    Returns ``(value, unitary, diagnostics)``, the unitary the one scored.
     """
-    _, first_objective, first_x0 = starts[0]
+    def rotated(ref, angles):
+        u = unitary_from_angles(angles, dim)
+        return u if ref is None else ref @ u
+
+    zero = np.zeros(angle_count(dim))
     restarts = (
-        (f"restart{i}", first_objective,
-         np.random.default_rng([config.seed, i]).uniform(-np.pi, np.pi, first_x0.size))
+        (f"restart{i}", None,
+         np.random.default_rng([config.seed, i]).uniform(-np.pi, np.pi, zero.size))
         for i in range(config.restarts)
     )
+    named = ((label, ref, zero) for label, ref in references.items())
     best = None
     iterations = 0
     converged = False
-    for label, objective, x0 in itertools.chain(starts, restarts):
+    for label, ref, x0 in itertools.chain(named, restarts):
+        def objective(a, ref=ref):
+            return cost(rotated(ref, a))
         res = _scipy_minimize(objective, x0, max_iters=config.max_iters)
         iterations += int(res.nit)
         converged = converged or bool(res.success)
         for val, vec in ((float(res.fun), np.asarray(res.x)), (float(objective(x0)), x0)):
             key = (val, tuple(vec))
             if best is None or key < best[0]:
-                best = (key, vec, label)
-    (best_val, _), best_x, best_label = best
-    return best_x, best_val, SearchDiagnostics(config.restarts, best_label, iterations, converged)
+                best = (key, vec, label, ref)
+    (value, _), angles, label, ref = best
+    diag = SearchDiagnostics(config.restarts, label, iterations, converged)
+    return value, rotated(ref, angles), diag
 
 
 def minimize_over_bases(rho: DensityOperator, objective, config: OptimizerConfig,
@@ -264,24 +277,15 @@ def minimize_over_bases(rho: DensityOperator, objective, config: OptimizerConfig
     ``rho``; a side other than ``"A"`` or ``"B"`` raises ``ValueError``
     before any start runs.
 
-    The starts are ``identity``, ``warm`` (the marginal eigenbasis as
-    ``np.linalg.eigh`` returns it, with angles relative to it, so zero angles
-    reproduce it exactly), then the seeded restarts relative to the identity.
+    The starts are ``identity``, ``warm`` (rotations of the marginal
+    eigenbasis as ``np.linalg.eigh`` returns it), then the seeded restarts.
     Returns ``(value, basis, diagnostics)``.
 
     The result never exceeds the objective at the identity basis or at the
     warm basis, and is bit-reproducible for a fixed state and config.
     """
     warm = np.linalg.eigh(rho.marginal(side))[1]
-    dim = warm.shape[0]
-    x0 = np.zeros(angle_count(dim))
-    starts = [
-        ("identity", lambda a: objective(unitary_from_angles(a, dim)), x0),
-        ("warm", lambda a: objective(warm @ unitary_from_angles(a, dim)), x0),
-    ]
-    best_x, best_val, diag = _multistart(starts, config)
-    u = unitary_from_angles(best_x, dim)
-    return best_val, (warm @ u if diag.best_start == "warm" else u), diag
+    return _multistart(objective, warm.shape[0], {"identity": None, "warm": warm}, config)
 
 
 @dataclass(frozen=True)
@@ -303,25 +307,20 @@ def minimize_convex_roof(rho: DensityOperator, weighted_functional,
 
     ``weighted_functional`` maps a ``(k, N)`` stack of unnormalized amplitude
     rows ``psi`` to their ``(k,)`` real values ``|psi|^2 E(psi / |psi|)``,
-    with exactly 0 for a zero row. Written with the rows
-    ``sqrt(p_k) psi_k``, the decomposition average ``sum_k p_k E(psi_k)`` is
-    then the plain sum of one call's values, with no weights and no
-    normalization. Decompositions of size ``terms`` are the rows of
-    ``W @ rows``, where ``W`` is the first ``rank`` columns of an angle
-    unitary and ``rows`` are the eigenvectors scaled by the square roots of
-    their eigenvalues; this reaches every decomposition of that size. Zero
-    angles reproduce the eigendecomposition, so the result never exceeds its
-    average.
+    exactly 0 for a zero row, so over the rows ``sqrt(p_k) psi_k`` the
+    decomposition average ``sum_k p_k E(psi_k)`` is the plain sum of one
+    call's values. Every decomposition of size ``terms`` is the rows of
+    ``u[:, :rank] @ rows`` for some ``terms x terms`` unitary ``u``, with
+    ``rows`` the eigenvectors scaled by the square roots of their
+    eigenvalues. The identity gives the eigendecomposition, so the result
+    never exceeds its average. A state of rank 1 has no other decomposition
+    and is not searched: 0 iterations, ``best_start`` ``identity`` and
+    ``converged`` true.
 
-    A state of rank 1 has no other decomposition, so it is not searched: the
-    value is the objective at zero angles, with 0 iterations, ``best_start``
-    ``identity`` and ``converged`` true.
-
-    The default size is ``min(2 * rank, ROOF_CAP)``: the simplex search runs
-    over the ``terms * (terms - 1)`` rotation angles, which stops converging
-    within the iteration budget well before the ``rank**2`` purification bound
-    is reached, so larger decompositions must be requested explicitly, up to
-    ``ROOF_CAP``.
+    The default size is ``min(2 * rank, ROOF_CAP)``: the search over the
+    ``terms * (terms - 1)`` rotation angles stops converging within the
+    iteration budget well before the ``rank**2`` purification bound, so larger
+    decompositions must be requested explicitly, up to ``ROOF_CAP``.
     """
     q, evecs = np.linalg.eigh(rho.matrix)
     keep = q > RANK_TOL
@@ -334,18 +333,16 @@ def minimize_convex_roof(rho: DensityOperator, weighted_functional,
         raise BadSpec(f"terms {k_terms} above the cap {ROOF_CAP}")
     rows = (evecs * np.sqrt(q)).T
 
-    def objective(angles):
-        return float(weighted_functional(
-            unitary_from_angles(angles, k_terms)[:, :rank] @ rows).sum())
+    def cost(u):
+        return float(weighted_functional(u[:, :rank] @ rows).sum())
 
-    x0 = np.zeros(angle_count(k_terms))
     if rank == 1:
-        best_x, best_val = x0, objective(x0)
-        diag = SearchDiagnostics(config.restarts, "identity", 0, True)
+        u = np.eye(k_terms)
+        value, diag = cost(u), SearchDiagnostics(config.restarts, "identity", 0, True)
     else:
-        best_x, best_val, diag = _multistart([("identity", objective, x0)], config)
+        value, u, diag = _multistart(cost, k_terms, {"identity": None}, config)
 
-    psi = unitary_from_angles(best_x, k_terms)[:, :rank] @ rows
+    psi = u[:, :rank] @ rows
     p = (psi.real**2 + psi.imag**2).sum(axis=1)
     kept = p >= TERM_WEIGHT_FLOOR
     probs = p[kept]
@@ -355,4 +352,4 @@ def minimize_convex_roof(rho: DensityOperator, weighted_functional,
         raise OptimizerFailed(f"decomposition weights sum to {float(probs.sum())!r}")
     if linalg.trace_norm(psi.T @ psi.conj() - rho.matrix) > 1e-8:
         raise OptimizerFailed("decomposition does not reassemble the input state")
-    return ConvexRoofResult(best_val, probs, pure_states, diag, k_terms)
+    return ConvexRoofResult(value, probs, pure_states, diag, k_terms)

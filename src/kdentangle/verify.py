@@ -10,12 +10,13 @@ Default sizes match the package acceptance battery.
 
 import inspect
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kd, linalg, weakvalue
 from .entanglement import (
+    ROOF_SEARCH,
     asymmetry_lower_bound,
     binary_entropy,
     marginal_disturbance,
@@ -226,10 +227,10 @@ def suite_roof(seed: int = 0) -> tuple[bool, float, str]:
     """Normalized convex roof matches the two-qubit spin-flip oracle on the
     isotropic mixture family."""
     p_values = (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+    config = replace(ROOF_SEARCH, seed=seed)
     dev = 0.0
     for p in p_values:
         rho = werner_state(p)
-        config = OptimizerConfig(restarts=32, max_iters=2000, seed=seed)
         roof = mixed_entanglement(rho, config, terms=4)
         oracle = wootters_concurrence(rho)
         dev = max(dev, abs(roof.value / roof_normalization(rho.dims) - oracle))
@@ -252,9 +253,9 @@ def suite_weak(seed: int = 0) -> tuple[bool, float, str]:
     shots = 10**6
     rmse_seeds = 100
     band = 5.0 * 4 / np.sqrt(shots)
+    config = replace(weakvalue.SAMPLED_SEARCH, seed=seed)
     dev = 0.0
     for name, state, reference in cases:
-        config = OptimizerConfig(restarts=4, max_iters=150, seed=seed)
         value, _, _ = weakvalue.sampled_entanglement(state, shots, config)
         dev = max(dev, abs(value - reference))
     # RMSE scaling of the single-cell estimator on a nonreal cell

@@ -115,6 +115,16 @@ def test_mixed_reports_searched_terms(capsys):
     assert report["diagnostics"]["iterations"] == 0
 
 
+def test_mixed_rank_one_with_one_term(capsys):
+    # terms equal to the rank is a valid request, even with one term
+    assert cli.main(["mixed", "--builtin", "bell", "--terms", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == 1.0
+    assert report["terms"] == 1
+    assert report["probabilities"] == [1.0]
+    assert report["diagnostics"]["iterations"] == 0
+
+
 def test_mixed_rejects_terms_above_cap(capsys):
     assert cli.main(["mixed", "--builtin", "werner:0.5", "--terms", "100"]) == 2
     assert "terms 100 above the cap" in capsys.readouterr().err

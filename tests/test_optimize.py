@@ -29,6 +29,11 @@ def test_materialize_random_unitary():
         assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
 
 
+def test_materialize_dimension_one():
+    # one empty round of rotations: no angles, and the 1x1 identity
+    assert np.array_equal(ke.unitary_from_angles(np.zeros(0), 1), [[1]])
+
+
 def test_param_count_validation():
     # the d**2 length of a parametrization with diagonal phases is rejected too
     for size, dim in ((8, 3), (9, 3), (5, 2), (4, 2)):
@@ -153,6 +158,21 @@ def test_seeded_determinism():
     assert v1 == v2
     assert d1 == d2
     assert np.array_equal(b1, b2)
+
+
+def test_search_returns_the_basis_it_scored():
+    # the winning start's reference is mapped back onto its rotation: the
+    # returned basis scores the returned value, whichever start won
+    winners = set()
+    cfg = ke.OptimizerConfig(restarts=4, max_iters=150, seed=0)
+    for seed in range(6):
+        rho = ke.random_mixed(ke.BipartiteDims(2, 3), 2, seed)
+        obj = objective_for(rho)
+        value, basis, diag = ke.minimize_over_bases(rho, obj, cfg)
+        assert obj(basis) == value
+        winners.add(diag.best_start)
+    assert {"identity", "warm"} <= winners
+    assert any(label.startswith("restart") for label in winners)
 
 
 def _reject_bad_side(search, state, monkeypatch):
