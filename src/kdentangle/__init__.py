@@ -4,6 +4,7 @@ and a sampled estimation pipeline."""
 
 from .entanglement import (
     BoundsReport,
+    ConvexRoofResult,
     PureEntanglementReport,
     asymmetry_lower_bound,
     binary_entropy,
@@ -47,10 +48,8 @@ from .linalg import (
     trace_norm,
 )
 from .optimize import (
-    ConvexRoofResult,
     OptimizerConfig,
     SearchDiagnostics,
-    minimize_convex_roof,
     minimize_over_bases,
     unitary_from_angles,
 )

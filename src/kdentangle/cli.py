@@ -19,6 +19,7 @@ import numpy as np
 from . import kd, linalg, verify, weakvalue
 from .entanglement import (
     ASYMMETRY_SEARCH,
+    ROOF_CAP,
     ROOF_SEARCH,
     bounds_report,
     mixed_entanglement,
@@ -26,7 +27,7 @@ from .entanglement import (
     roof_normalization,
 )
 from .errors import BadSpec, BasisPairSingular, KdToolError, OptimizerFailed
-from .optimize import RESTART_CAP, ROOF_CAP, OptimizerConfig
+from .optimize import RESTART_CAP, OptimizerConfig
 from .states import BipartiteDims, as_density, as_pure, load_state, make_basis, make_state
 
 EXIT_OK = 0

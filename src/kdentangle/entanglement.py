@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import BadSpec, DimensionMismatch, DomainError, NotPSD, OptimizerFailed
 from .kd import _max_nonreality_mat
-from .optimize import ConvexRoofResult, OptimizerConfig, minimize_convex_roof, minimize_over_bases
+from .optimize import OptimizerConfig, SearchDiagnostics, _multistart, minimize_over_bases
 from .states import (
     DIM_CAP,
     NORM_TOL,
@@ -312,54 +312,124 @@ def roof_normalization(dims: BipartiteDims) -> float:
     return float(np.sqrt(min(dims.da, dims.db) - 1))
 
 
+RANK_TOL = 1e-12
+TERM_WEIGHT_FLOOR = 1e-12
+# Most decomposition terms the roof searches, so also the largest rank it takes.
+ROOF_CAP = 16
 # the roof's budget is the dataclass default: 32 restarts of 2000 iterations
 ROOF_SEARCH = OptimizerConfig()
 
 
+@dataclass(frozen=True)
+class ConvexRoofResult:
+    """Minimal decomposition average found, with the achieving decomposition
+    and the decomposition size searched."""
+
+    value: float
+    probabilities: np.ndarray
+    pure_states: list
+    diagnostics: SearchDiagnostics
+    terms: int
+
+
 def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEARCH,
                        terms: int | None = None) -> ConvexRoofResult:
-    """Convex-roof extension of the pure-state value to a mixed state.
+    """Convex-roof extension of the pure-state value to a mixed state: the
+    least decomposition average ``sum_k p_k E(psi_k)`` found.
 
-    The roof objective sums ``_marginal_entropy_functional`` over the
-    unnormalized decomposition rows. The search result is rejected
-    (``OptimizerFailed``) if it exceeds the marginal nonreality entropy of
-    either side, or falls below ``certified_lower``, beyond
-    ``OptimizerConfig.tol`` slack. A correct decomposition average can do
-    neither: the eigendecomposition start already sits at or below that
-    concave envelope, and no decomposition goes below the certified floor.
+    Every decomposition of size ``terms`` is the rows of ``u[:, :rank] @ rows``
+    for some ``terms x terms`` unitary ``u``, with ``rows`` the eigenvectors
+    scaled by the square roots of their eigenvalues. On the unnormalized rows
+    ``sqrt(p_k) psi_k`` the average is the plain sum of one
+    ``_marginal_entropy_functional`` call, the cost of ``u`` that
+    ``_multistart`` minimizes. Its ``identity`` start is the
+    eigendecomposition, so the result never exceeds that average. A state of
+    rank 1 has no other decomposition and is not searched: 0 iterations,
+    ``best_start`` ``identity`` and ``converged`` true.
+
+    The default size is ``min(2 * rank, ROOF_CAP)``: the search over the
+    ``terms * (terms - 1)`` rotation angles stops converging within the
+    iteration budget well before the ``rank**2`` purification bound, so larger
+    decompositions must be requested explicitly, up to ``ROOF_CAP``. A state
+    of rank above ``ROOF_CAP`` has no decomposition that small (``BadSpec``).
+
+    The result is rejected (``OptimizerFailed``) if its weights do not sum to
+    1, if its terms do not reassemble the state, or if it exceeds the marginal
+    nonreality entropy of either side or falls below ``certified_lower``
+    beyond ``OptimizerConfig.tol`` slack. A correct decomposition average can
+    do neither of the last two: the eigendecomposition start already sits at
+    or below that concave envelope, and no decomposition goes below the
+    certified floor.
 
     The extremal-asymmetry quantity is *not* enforced as a floor here: it can
     sit strictly above the convex roof (e.g. separable states with no locally
     commuting basis), so it is reported by ``bounds_report`` but not used to
     reject results.
     """
-    roof = minimize_convex_roof(rho, _marginal_entropy_functional(rho.dims), config, terms)
+    q, evecs = np.linalg.eigh(rho.matrix)
+    keep = q > RANK_TOL
+    q, evecs = q[keep], evecs[:, keep]
+    rank = int(q.size)
+    if rank > ROOF_CAP:
+        raise BadSpec(f"state rank {rank} above the terms cap {ROOF_CAP}")
+    k_terms = int(terms) if terms is not None else min(2 * rank, ROOF_CAP)
+    if k_terms < rank:
+        raise BadSpec(f"terms {k_terms} below state rank {rank}")
+    if k_terms > ROOF_CAP:
+        raise BadSpec(f"terms {k_terms} above the cap {ROOF_CAP}")
+    rows = (evecs * np.sqrt(q)).T
+    functional = _marginal_entropy_functional(rho.dims)
+
+    def cost(u):
+        return float(functional(u[:, :rank] @ rows).sum())
+
+    if rank == 1:
+        u = np.eye(k_terms)
+        value, diag = cost(u), SearchDiagnostics(config.restarts, "identity", 0, True)
+    else:
+        value, u, diag = _multistart(cost, k_terms, {"identity": None}, config)
+
+    psi = u[:, :rank] @ rows
+    p = (psi.real**2 + psi.imag**2).sum(axis=1)
+    kept = p >= TERM_WEIGHT_FLOOR
+    probs = p[kept]
+    pure_states = [BipartitePureState(rho.dims, row / np.linalg.norm(row))
+                   for row in psi[kept]]
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise OptimizerFailed(f"decomposition weights sum to {float(probs.sum())!r}")
+    if linalg.trace_norm(psi.T @ psi.conj() - rho.matrix) > 1e-8:
+        raise OptimizerFailed("decomposition does not reassemble the input state")
     upper = min(
         nonreality_entropy(rho.marginal("A")),
         nonreality_entropy(rho.marginal("B")),
     )
     slack = OptimizerConfig.tol
-    if roof.value > upper + slack:
+    if value > upper + slack:
         raise OptimizerFailed(
-            f"convex-roof value {roof.value!r} exceeds the marginal-entropy "
+            f"convex-roof value {value!r} exceeds the marginal-entropy "
             f"bound {upper!r} beyond slack {slack:g}"
         )
     floor = certified_lower(rho)
-    if roof.value < floor - slack:
+    if value < floor - slack:
         raise OptimizerFailed(
-            f"convex-roof value {roof.value!r} is below the certified floor "
+            f"convex-roof value {value!r} is below the certified floor "
             f"{floor!r} beyond slack {slack:g}"
         )
-    return roof
+    return ConvexRoofResult(value, probs, pure_states, diag, k_terms)
 
 
 def wootters_concurrence(rho) -> float:
-    """Two-qubit mixed-state concurrence via the spin-flip spectrum."""
+    """Two-qubit mixed-state concurrence ``max(0, s_1 - s_2 - s_3 - s_4)``
+    from the descending singular values ``s`` of ``R^T (sy (x) sy) R``, where
+    the columns of ``R`` are the eigenvectors scaled by the square roots of
+    their (clipped) eigenvalues. These are the square roots of the spectrum of
+    the non-Hermitian ``rho rho~`` (Wootters, PRL 80, 2245 (1998)), found
+    without its eigen-solve, whose roundoff on a pure state reaches 1e-8."""
     m = as_state_matrix(rho)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"two-qubit matrix required, got {m.shape}")
     sy = np.array([[0.0, -1j], [1j, 0.0]])
-    flip = np.kron(sy, sy)
-    ev = np.linalg.eigvals(m @ flip @ np.conj(m) @ flip)
-    roots = np.sqrt(np.clip(np.sort(ev.real)[::-1], 0.0, None))
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    q, v = np.linalg.eigh(m)
+    r = v * np.sqrt(np.clip(q, 0.0, None))
+    s = np.linalg.svd(r.T @ np.kron(sy, sy) @ r, compute_uv=False)
+    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))

@@ -1,15 +1,16 @@
-"""Search over orthonormal bases and over pure-state decomposition isometries.
+"""Seeded multistart search over unitaries.
 
-Both are searches over unitaries, and both hand one seeded multistart driver,
-``_multistart``, a cost of a unitary and named reference starts. Only the
-driver sees angles: it runs derivative-free simplex descent over an angle
-parametrization of unitaries up to column phases, one two-index rotation
-(rotation angle plus relative phase) per index pair, ``n(n-1)`` real
-parameters in total. There are no diagonal phases: a phase on a basis vector
-changes no projector, and a phase on a decomposition vector changes no term.
-The rotations are grouped into rounds of disjoint pairs, each round one
-matrix. Zero angles materialize the identity, so a start begins at its
-reference.
+``_multistart`` minimizes a cost of a unitary from named reference starts and
+seeded restarts. ``minimize_over_bases`` is the search over local bases; the
+convex roof (``entanglement.mixed_entanglement``) hands the driver its own
+cost of a decomposition unitary. Only the driver sees angles: it runs
+derivative-free simplex descent over an angle parametrization of unitaries
+up to column phases, one two-index rotation (rotation angle plus relative
+phase) per index pair, ``n(n-1)`` real parameters in total. There are no
+diagonal phases: a phase on a basis vector changes no projector, and a phase
+on a decomposition vector changes no term. The rotations are grouped into
+rounds of disjoint pairs, each round one matrix. Zero angles materialize the
+identity, so a start begins at its reference.
 
 The descent is an in-house adaptive Nelder-Mead written with numpy alone. It
 reproduces scipy 1.17.1's ``minimize(method="Nelder-Mead", adaptive=True)``
@@ -28,13 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import linalg
-from .errors import BadParamCount, BadSpec, OptimizerFailed
-from .states import BipartitePureState, DensityOperator
+from .errors import BadParamCount, BadSpec
 
-RANK_TOL = 1e-12
-TERM_WEIGHT_FLOOR = 1e-12
-ROOF_CAP = 16
 SIMPLEX_SCALE = 0.3
 XATOL = 1e-7
 FATOL = 1e-9
@@ -170,7 +166,7 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     a point not held there, so ``fun`` must be deterministic. ``nfev`` stays
     scipy's count of trial points, repeats included; the real calls of
     ``fun`` can be fewer. The memo holds at most ``2(n+1)`` keys of ``8n``
-    bytes each, about 2 KB per key at ``ROOF_CAP``.
+    bytes each, about 2 KB per key for a 16 x 16 unitary.
 
     The name is the hook that the benchmark tracer (``bench/tracer.py``) and
     the tests patch to see each start; it stays until a benchmark change
@@ -271,8 +267,7 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig):
     return value, rotated(ref, angles), diag
 
 
-def minimize_over_bases(rho: DensityOperator, objective, config: OptimizerConfig,
-                        side: str = "A"):
+def minimize_over_bases(rho, objective, config: OptimizerConfig, side: str = "A"):
     """Minimize ``objective(basis)`` over orthonormal bases of ``side`` of
     ``rho``; a side other than ``"A"`` or ``"B"`` raises ``ValueError``
     before any start runs.
@@ -286,70 +281,3 @@ def minimize_over_bases(rho: DensityOperator, objective, config: OptimizerConfig
     """
     warm = np.linalg.eigh(rho.marginal(side))[1]
     return _multistart(objective, warm.shape[0], {"identity": None, "warm": warm}, config)
-
-
-@dataclass(frozen=True)
-class ConvexRoofResult:
-    """Minimal decomposition average found, with the achieving decomposition
-    and the decomposition size searched."""
-
-    value: float
-    probabilities: np.ndarray
-    pure_states: list
-    diagnostics: SearchDiagnostics
-    terms: int
-
-
-def minimize_convex_roof(rho: DensityOperator, weighted_functional,
-                         config: OptimizerConfig,
-                         terms: int | None = None) -> ConvexRoofResult:
-    """Minimize the decomposition average of a pure-state functional.
-
-    ``weighted_functional`` maps a ``(k, N)`` stack of unnormalized amplitude
-    rows ``psi`` to their ``(k,)`` real values ``|psi|^2 E(psi / |psi|)``,
-    exactly 0 for a zero row, so over the rows ``sqrt(p_k) psi_k`` the
-    decomposition average ``sum_k p_k E(psi_k)`` is the plain sum of one
-    call's values. Every decomposition of size ``terms`` is the rows of
-    ``u[:, :rank] @ rows`` for some ``terms x terms`` unitary ``u``, with
-    ``rows`` the eigenvectors scaled by the square roots of their
-    eigenvalues. The identity gives the eigendecomposition, so the result
-    never exceeds its average. A state of rank 1 has no other decomposition
-    and is not searched: 0 iterations, ``best_start`` ``identity`` and
-    ``converged`` true.
-
-    The default size is ``min(2 * rank, ROOF_CAP)``: the search over the
-    ``terms * (terms - 1)`` rotation angles stops converging within the
-    iteration budget well before the ``rank**2`` purification bound, so larger
-    decompositions must be requested explicitly, up to ``ROOF_CAP``.
-    """
-    q, evecs = np.linalg.eigh(rho.matrix)
-    keep = q > RANK_TOL
-    q, evecs = q[keep], evecs[:, keep]
-    rank = int(q.size)
-    k_terms = int(terms) if terms is not None else min(2 * rank, ROOF_CAP)
-    if k_terms < rank:
-        raise BadSpec(f"terms {k_terms} below state rank {rank}")
-    if k_terms > ROOF_CAP:
-        raise BadSpec(f"terms {k_terms} above the cap {ROOF_CAP}")
-    rows = (evecs * np.sqrt(q)).T
-
-    def cost(u):
-        return float(weighted_functional(u[:, :rank] @ rows).sum())
-
-    if rank == 1:
-        u = np.eye(k_terms)
-        value, diag = cost(u), SearchDiagnostics(config.restarts, "identity", 0, True)
-    else:
-        value, u, diag = _multistart(cost, k_terms, {"identity": None}, config)
-
-    psi = u[:, :rank] @ rows
-    p = (psi.real**2 + psi.imag**2).sum(axis=1)
-    kept = p >= TERM_WEIGHT_FLOOR
-    probs = p[kept]
-    pure_states = [BipartitePureState(rho.dims, row / np.linalg.norm(row))
-                   for row in psi[kept]]
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise OptimizerFailed(f"decomposition weights sum to {float(probs.sum())!r}")
-    if linalg.trace_norm(psi.T @ psi.conj() - rho.matrix) > 1e-8:
-        raise OptimizerFailed("decomposition does not reassemble the input state")
-    return ConvexRoofResult(value, probs, pure_states, diag, k_terms)

@@ -50,6 +50,18 @@ def test_kd_dist_bell(tmp_path):
                if k not in (("0", "0"), ("1", "3")))
 
 
+def test_kd_dist_json_format(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    assert cli.main(["kd-dist", "--builtin", "bell", "--format", "json",
+                     "--out", str(out)]) == 0
+    assert f"table: {out}" in capsys.readouterr().out
+    cells = json.loads(out.read_text())
+    # the marginal table of a 2x2 state: 2 first-basis by 4 second-basis cells
+    assert [(c["x"], c["y"]) for c in cells] == [(x, y) for x in range(2) for y in range(4)]
+    assert sum(c["re"] for c in cells) == 1.0
+    assert all(c["im"] == 0.0 for c in cells)
+
+
 def test_kd_dist_bad_dims_file(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dims": [2], "kind": "pure", "data": []}))
@@ -78,6 +90,14 @@ def test_pure_bell_report():
     report = json.loads(res.stdout)
     assert report["value"] == 1.0
     assert report["concurrence"] == 1.0
+
+
+def test_pure_csv_format(capsys):
+    assert cli.main(["pure", "--builtin", "bell", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "field,value"
+    assert "value,1.0" in lines
+    assert lines[1] == 'command,"pure"'
 
 
 def test_pure_accepts_rank_one_density(tmp_path):
@@ -128,6 +148,14 @@ def test_mixed_rank_one_with_one_term(capsys):
 def test_mixed_rejects_terms_above_cap(capsys):
     assert cli.main(["mixed", "--builtin", "werner:0.5", "--terms", "100"]) == 2
     assert "terms 100 above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terms", [[], ["--terms", "16"], ["--terms", "30"]])
+def test_mixed_rejects_rank_above_cap(terms, capsys):
+    # a full-rank 5x5 state has no decomposition of at most 16 terms: its rank
+    # is named whatever --terms reads, and no search starts
+    assert cli.main(["mixed", "--builtin", "isotropic:5:0.5", *terms]) == 2
+    assert "state rank 25 above the terms cap 16" in capsys.readouterr().err
 
 
 def test_mixed_rejects_restarts_above_cap(tmp_path, monkeypatch, capsys):

@@ -201,6 +201,36 @@ def test_wootters_concurrence():
         ke.wootters_concurrence(np.eye(6) / 6)
 
 
+def test_wootters_concurrence_exact_on_pure_product_and_rotated_werner_states():
+    # pure: 2|a00 a11 - a01 a10|; product: 0; a locally rotated Werner state
+    # keeps max(0, (3p - 1)/2). The square roots of the eigenvalues of the
+    # non-Hermitian rho rho~ miss the pure values by up to 1.9e-8
+    dims = ke.BipartiteDims(2, 2)
+    for k in range(200):
+        a = ke.haar_pure(dims, k).amplitudes
+        exact = 2 * abs(a[0] * a[3] - a[1] * a[2])
+        assert abs(ke.wootters_concurrence(ke.haar_pure(dims, k)) - exact) < 1e-13
+        assert ke.wootters_concurrence(ke.random_product_pure(dims, k)) < 1e-13
+        p = k / 199
+        rotated = ke.apply_local_unitary(ke.werner_state(p), ke.haar_unitary(2, 2 * k),
+                                         ke.haar_unitary(2, 2 * k + 1))
+        assert abs(ke.wootters_concurrence(rotated) - max(0.0, (3 * p - 1) / 2)) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pure_value_above_swap_floor(d):
+    # E(psi) >= -<psi|F|psi> with F the swap: on antisymmetric states
+    # <F> = -1, so their value is at least 1
+    dims = ke.BipartiteDims(d, d)
+    for seed in range(100):
+        a = ke.haar_pure(dims, seed).amplitudes.reshape(d, d)
+        anti = a - a.T
+        for m in (a, anti / np.linalg.norm(anti)):
+            swap = np.vdot(m, m.T).real
+            value = ke.pure_entanglement(ke.BipartitePureState(dims, m.ravel())).value
+            assert value >= -swap - 1e-12
+
+
 def test_mixed_entanglement_pure_input():
     cfg = ke.OptimizerConfig(restarts=4, max_iters=400, seed=5)
     rho = lam_state().density()

@@ -1,12 +1,33 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kdentangle as ke
 from kdentangle import entanglement, linalg, optimize, weakvalue
+from kdentangle.entanglement import ROOF_CAP
 from kdentangle.errors import BadParamCount, BadSpec
-from kdentangle.optimize import ROOF_CAP, angle_count
+from kdentangle.optimize import angle_count
+
+
+def test_optimize_imports_only_errors_from_the_package():
+    # the driver knows unitaries, not states: the roof and the bases bring
+    # their own costs, so nothing of the package but its errors is imported
+    tree = ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from . import x, or from .x import y
+                imported.update([node.module] if node.module else
+                                [alias.name for alias in node.names])
+            elif node.module.split(".")[0] == "kdentangle":
+                imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names
+                            if alias.name.split(".")[0] == "kdentangle")
+    assert imported == {"errors"}
 
 
 def test_materialize_identity():
@@ -196,19 +217,6 @@ def test_bad_side_rejected_before_sign_pattern_cap(search, monkeypatch):
     _reject_bad_side(search, ke.product_state(ke.BipartiteDims(2, 11)), monkeypatch)
 
 
-def marginal_entropy(dims):
-    """Weighted functional: ``(k, N)`` unnormalized rows to the ``(k,)``
-    values ``|psi|^2 E(psi / |psi|) = sum_j sqrt(lam_j (|psi|^2 - lam_j))``,
-    with ``lam_j`` the eigenvalues of the unnormalized marginal."""
-    def f(rows):
-        m = rows.reshape(-1, dims.da, dims.db)
-        norm2 = (np.abs(rows) ** 2).sum(axis=-1)[:, None]
-        lam = np.clip(np.linalg.eigvalsh(m @ m.conj().transpose(0, 2, 1)), 0, norm2)
-        return np.sqrt(lam * (norm2 - lam)).sum(axis=-1)
-
-    return f
-
-
 def test_convex_roof_rank_one(monkeypatch):
     # a rank-one state has one decomposition, itself, so no search runs
     def no_search(*args, **kwargs):
@@ -219,7 +227,7 @@ def test_convex_roof_rank_one(monkeypatch):
     for dims, seed in ((ke.BipartiteDims(2, 2), 21), (ke.BipartiteDims(2, 3), 22)):
         state = ke.haar_pure(dims, seed)
         for terms in (None, 4):
-            roof = ke.minimize_convex_roof(state.density(), marginal_entropy(dims), cfg, terms)
+            roof = ke.mixed_entanglement(state.density(), cfg, terms)
             assert abs(roof.value - ke.pure_entanglement(state).value) < 1e-12
             assert roof.probabilities.shape == (1,)
             assert abs(roof.probabilities[0] - 1.0) < 1e-12
@@ -232,18 +240,16 @@ def test_convex_roof_rank_one(monkeypatch):
 def test_convex_roof_separable_mixture():
     dims = ke.BipartiteDims(2, 2)
     rho = ke.DensityOperator(dims, np.diag([0.5, 0, 0, 0.5]).astype(complex))
-    roof = ke.minimize_convex_roof(
-        rho, marginal_entropy(dims),
-        ke.OptimizerConfig(restarts=6, max_iters=600, seed=0),
+    roof = ke.mixed_entanglement(
+        rho, ke.OptimizerConfig(restarts=6, max_iters=600, seed=0),
     )
     assert roof.value < 1e-6
 
 
 def test_convex_roof_werner():
     rho = ke.werner_state(0.8)
-    roof = ke.minimize_convex_roof(
-        rho, marginal_entropy(rho.dims),
-        ke.OptimizerConfig(restarts=16, max_iters=2000, seed=0), terms=4,
+    roof = ke.mixed_entanglement(
+        rho, ke.OptimizerConfig(restarts=16, max_iters=2000, seed=0), terms=4,
     )
     assert abs(roof.value - 0.70) < 2e-3
 
@@ -251,22 +257,19 @@ def test_convex_roof_werner():
 def test_convex_roof_validates_terms():
     rho = ke.werner_state(0.5)  # rank 4
     with pytest.raises(BadSpec):
-        ke.minimize_convex_roof(
-            rho, marginal_entropy(rho.dims),
-            ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=2,
+        ke.mixed_entanglement(
+            rho, ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=2,
         )
     with pytest.raises(BadSpec):
-        ke.minimize_convex_roof(
-            rho, marginal_entropy(rho.dims),
-            ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=ROOF_CAP + 1,
+        ke.mixed_entanglement(
+            rho, ke.OptimizerConfig(restarts=1, max_iters=50, seed=0), terms=ROOF_CAP + 1,
         )
 
 
 def test_convex_roof_decomposition_consistency():
     rho = ke.random_mixed(ke.BipartiteDims(2, 2), 2, 9)
-    roof = ke.minimize_convex_roof(
-        rho, marginal_entropy(rho.dims),
-        ke.OptimizerConfig(restarts=4, max_iters=400, seed=2),
+    roof = ke.mixed_entanglement(
+        rho, ke.OptimizerConfig(restarts=4, max_iters=400, seed=2),
     )
     assert abs(roof.probabilities.sum() - 1.0) < 1e-9
     assert all(p >= 0 for p in roof.probabilities)
@@ -289,8 +292,7 @@ def test_convex_roof_searches_rotation_angles_only(monkeypatch):
         return real(fun, x0, **kwargs)
 
     monkeypatch.setattr(optimize, "_scipy_minimize", recording)
-    ke.minimize_convex_roof(rho, functional,
-                            ke.OptimizerConfig(restarts=1, max_iters=20), terms=4)
+    ke.mixed_entanglement(rho, ke.OptimizerConfig(restarts=1, max_iters=20), terms=4)
     assert [size for _, size in seen] == [4 * 3, 4 * 3]
     objective = seen[0][0]
     q, evecs = np.linalg.eigh(rho.matrix)
