@@ -263,7 +263,12 @@ def cmd_weak_sim(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one
+    in the process. Callers must not modify it. It binds only the ``cmd_*``
+    functions and the search presets, and those look up the searches they
+    run at call time."""
     parser = argparse.ArgumentParser(
         prog="kdentangle",
         description="Kirkwood-Dirac quasiprobability tables and a "

@@ -198,11 +198,23 @@ def certified_lower(rho: DensityOperator) -> float:
     which is the concurrence over ``sqrt(2)``; the concurrence of a mixed
     state is at least ``sqrt(2 / (m (m - 1)))`` times its negativity
     ``||rho^{T_A}||_1 - 1`` (Chen, Albeverio & Fei, PRL 95, 040504 (2005)),
-    and both sides are convex roofs."""
+    and both sides are convex roofs.
+
+    When ``dA = dB = d`` the floor also takes ``-Tr(F rho)``, with ``F`` the
+    swap. For a pure state with amplitude matrix ``M = U S W^dag`` and
+    ``X = U^dag conj(W)``, ``<F> = sum_ij s_i s_j X_ij conj(X_ji)``, so
+    ``-<F> <= sum_{i != j} s_i s_j |X_ij|^2``; Cauchy-Schwarz on each row,
+    with ``sum_j |X_ij|^4 <= 1``, bounds that by
+    ``sum_i s_i sqrt(1 - s_i^2) = E(psi)``. ``max(0, -x)`` is convex, so the
+    roof is at least ``max(0, -Tr(F rho))``; it is 1 on every state of the
+    antisymmetric subspace."""
     da, db = rho.dims.as_tuple()
     pt = rho.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, -1)
     m = min(da, db)
-    return max(0.0, float((linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1))))
+    floor = max(0.0, float((linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1))))
+    if da == db:
+        floor = max(floor, -float(np.einsum("abba->", rho.matrix.reshape(da, da, da, da)).real))
+    return floor
 
 
 @dataclass(frozen=True)

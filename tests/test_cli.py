@@ -651,6 +651,64 @@ def test_readme_commands_parse():
         assert callable(args.func)
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+CHEAP_README_COMMANDS = {
+    "kd-dist": ["kd-dist", "--builtin", "bell", "--basis-a", "computational",
+                "--basis-y", "computational", "--out", "table.csv"],
+    "kd-dist-reconstruct": ["kd-dist", "--builtin", "bell", "--reconstruct",
+                            "--basis-y", "random:3", "--out", "table.csv"],
+    "pure-builtin": ["pure", "--builtin", "max-entangled:3"],
+    "pure-state": ["pure", "--state", "state.json"],
+}
+
+
+def run_in_process(argv, capsys):
+    """Exit code, stdout with the wall time stripped, stderr, and the files
+    the command wrote into the working directory, which are then deleted."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    files = {}
+    for path in Path.cwd().iterdir():
+        if path.name != "state.json":
+            files[path.name] = path.read_bytes()
+            path.unlink()
+    return code, strip_timing(out), err, files
+
+
+@pytest.mark.parametrize("name", CHEAP_README_COMMANDS)
+def test_readme_commands_repeat_in_process(name, tmp_path, monkeypatch, capsys):
+    # the second call reuses the first call's parser and must print and write
+    # what the first did, and what a fresh process does
+    monkeypatch.chdir(tmp_path)
+    ke.save_state(ke.haar_pure(ke.BipartiteDims(2, 3), 11), "state.json")
+    argv = CHEAP_README_COMMANDS[name]
+    first = run_in_process(argv, capsys)
+    assert first[0] == 0 and first[2] == ""
+    assert first == run_in_process(argv, capsys)
+    fresh = run_cli(*argv, cwd=str(tmp_path))
+    assert (fresh.returncode, strip_timing(fresh.stdout), fresh.stderr) == first[:3]
+    assert set(first[3]) == {path.name for path in tmp_path.iterdir()} - {"state.json"}
+    assert all((tmp_path / fname).read_bytes() == data for fname, data in first[3].items())
+
+
+def test_parser_errors_leave_the_shared_parser_intact(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = CHEAP_README_COMMANDS["pure-builtin"]
+    before = run_in_process(argv, capsys)
+    for bad in (["pure", "--builtin", "bell", "--no-such-option"],
+                ["kd-dist", "--builtin", "bell", "--basis-b", "computational"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+    assert list(tmp_path.iterdir()) == []
+    assert run_in_process(argv, capsys) == before
+
+
 def test_state_and_builtin_conflict():
     res = run_cli("pure", "--state", "x.json", "--builtin", "bell")
     assert res.returncode == 2

@@ -231,6 +231,91 @@ def test_pure_value_above_swap_floor(d):
             assert value >= -swap - 1e-12
 
 
+def antisymmetric_vectors(count, seed):
+    """``count`` random orthonormal states on the antisymmetric subspace of
+    3x3, as rows of amplitudes."""
+    basis = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        v = np.zeros((3, 3), dtype=complex)
+        v[i, j], v[j, i] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        basis.append(v.ravel())
+    return ke.haar_unitary(3, seed)[:count] @ np.array(basis)
+
+
+def test_antisymmetric_pure_states_score_one():
+    # every antisymmetric 3x3 state has Schmidt coefficients (1/2, 1/2, 0)
+    dims = ke.BipartiteDims(3, 3)
+    for seed in range(50):
+        state = ke.BipartitePureState(dims, antisymmetric_vectors(1, seed)[0])
+        assert abs(ke.pure_entanglement(state).value - 1.0) <= 1e-12
+        assert abs(ke.certified_lower(state.density()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_antisymmetric_mixed_states_have_roof_one(rank):
+    # the swap floor -Tr(F rho) = 1 meets every decomposition's value 1, so the
+    # roof and the certified floor are both exactly 1; the partial-transpose
+    # floor alone reads about 0.3
+    rng = np.random.default_rng(rank)
+    weights = rng.dirichlet(np.ones(rank))
+    rows = antisymmetric_vectors(rank, rank)
+    rho = ke.DensityOperator(ke.BipartiteDims(3, 3),
+                             (rows.T * weights) @ rows.conj())
+    roof = ke.mixed_entanglement(rho, ke.OptimizerConfig(restarts=1, max_iters=50))
+    assert abs(roof.value - 1.0) <= 1e-12
+    assert abs(ke.certified_lower(rho) - 1.0) <= 1e-12
+
+
+def haar_instrument(d, outcomes, seed):
+    """Kraus operators cut from the first ``d`` columns of a Haar unitary:
+    ``sum_k K_k^dag K_k = I``."""
+    isometry = ke.haar_unitary(outcomes * d, seed)[:, :d]
+    return isometry.reshape(outcomes, d, d)
+
+
+def test_pure_value_falls_on_average_under_local_instruments():
+    # Vidal: a concave, unitarily invariant function of the reduced state is
+    # a monotone, so no local measurement raises the average value
+    seed = 0
+    for da in (2, 3, 4):
+        for db in (2, 3, 4):
+            dims = ke.BipartiteDims(da, db)
+            for _ in range(67):
+                seed += 1
+                m = ke.haar_pure(dims, seed).amplitudes.reshape(da, db)
+                before = ke.pure_entanglement(ke.BipartitePureState(dims, m.ravel())).value
+                side, outcomes = "AB"[seed % 2], 2 + seed // 2 % 2  # each pair in turn
+                kraus = haar_instrument(da if side == "A" else db, outcomes, seed)
+                after = 0.0
+                for k in kraus:
+                    out = k @ m if side == "A" else m @ k.T
+                    p = np.vdot(out, out).real
+                    state = ke.BipartitePureState(dims, out.ravel() / np.sqrt(p))
+                    after += p * ke.pure_entanglement(state).value
+                assert after <= before + 1e-12, (dims, side, seed)
+
+
+def test_pure_value_rises_under_t_transforms():
+    # Nielsen: a monotone is Schur-concave in the Schmidt coefficients, so a
+    # transfer between two of them toward their mean never lowers the value
+    rng = np.random.default_rng(9)
+
+    def value(schmidt):
+        d = len(schmidt)
+        amps = np.diag(np.sqrt(schmidt)).astype(complex).ravel()
+        return ke.pure_entanglement(ke.BipartitePureState(ke.BipartiteDims(d, d), amps)).value
+
+    for d in (2, 3, 4, 5):
+        for _ in range(500):
+            lam = rng.dirichlet(np.ones(d))
+            i, j = rng.choice(d, size=2, replace=False)
+            t = rng.uniform()
+            moved = lam.copy()
+            moved[i] = t * lam[i] + (1 - t) * lam[j]
+            moved[j] = (1 - t) * lam[i] + t * lam[j]
+            assert value(moved) >= value(lam) - 1e-12, (lam, i, j, t)
+
+
 def test_mixed_entanglement_pure_input():
     cfg = ke.OptimizerConfig(restarts=4, max_iters=400, seed=5)
     rho = lam_state().density()
