@@ -189,16 +189,8 @@ def cmd_bounds(args):
     rho = as_density(_resolve_state(args))
     config = _config_from(args)
     report = bounds_report(rho, config)
-    return {
-        "dims": [rho.dims.da, rho.dims.db],
-        "lower": report.lower,
-        "upper": report.upper,
-        "lower_swapped": report.lower_swapped,
-        "upper_swapped": report.upper_swapped,
-        "best_lower": report.best_lower,
-        "best_upper": report.best_upper,
-        "certified_lower": report.certified_lower,
-    }, {"restarts": config.restarts}
+    return ({"dims": [rho.dims.da, rho.dims.db], **dataclasses.asdict(report)},
+            {"restarts": config.restarts})
 
 
 def cmd_verify(args) -> int:

@@ -30,15 +30,22 @@ SNAP = 1e-15
 PATTERN_CAP = 10
 
 
-def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """``sum_j sqrt(lam_j (1 - lam_j))`` over the last axis, with boundary
-    snapping: the square root amplifies boundary roundoff (eps -> sqrt(eps)),
-    so eigenvalues within ``SNAP`` of 0 or 1 are treated as sitting on the
-    boundary."""
+def _snapped(lam: np.ndarray) -> np.ndarray:
+    """A spectrum clipped to [0, 1], with eigenvalues below ``SNAP`` put at 0
+    and one that carries all but ``SNAP`` of the sum put at 1: the square
+    roots taken of them amplify boundary roundoff (eps -> sqrt(eps)), and a
+    spectrum left with one nonzero eigenvalue is pure however its sum
+    rounds."""
     lam = np.clip(lam, 0.0, 1.0)
     lam[lam < SNAP] = 0.0
-    lam[lam > 1.0 - SNAP] = 1.0
-    return np.sqrt(lam * (1.0 - lam)).sum(axis=-1)
+    lam[lam > lam.sum() - SNAP] = 1.0
+    return lam
+
+
+def _entropy_from_eigenvalues(lam: np.ndarray) -> float:
+    """``sum_j sqrt(lam_j (1 - lam_j))`` over the snapped spectrum."""
+    lam = _snapped(lam)
+    return float(np.sqrt(lam * (1.0 - lam)).sum())
 
 
 def nonreality_entropy(rho_local) -> float:
@@ -54,7 +61,7 @@ def nonreality_entropy(rho_local) -> float:
     floor = -NORM_TOL * DIM_CAP / lam.size
     if lam[0] < floor:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below {floor:.3g}")
-    return float(_entropy_from_eigenvalues(lam))
+    return _entropy_from_eigenvalues(lam)
 
 
 def binary_entropy(x: float) -> float:
@@ -81,29 +88,36 @@ class PureEntanglementReport:
     entropy_of_entanglement: float | None
 
 
+def roof_normalization(dims: BipartiteDims) -> float:
+    """Normalization constant ``sqrt(min(dA, dB) - 1)`` of the monotone, the
+    maximum of the pure-state value over the dims; the pure and the mixed
+    reports alike divide by it."""
+    return float(np.sqrt(min(dims.da, dims.db) - 1))
+
+
 def pure_entanglement(state: BipartitePureState) -> PureEntanglementReport:
     """Closed-form entanglement of a pure bipartite state.
 
     The value is the nonreality entropy of either marginal; the normalized
-    value divides by ``sqrt(d - 1)`` with ``d`` the Schmidt rank, and the
-    concurrence uses the same ``d`` in its prefactor (zero for product states).
+    value divides it by ``roof_normalization``, and the concurrence is
+    ``sqrt(m / (m - 1) (1 - Tr rho_A^2))`` with ``m = min(dA, dB)``. Their
+    constants depend on the dims alone, so neither rises under LOCC (a
+    majorization of the Schmidt spectrum), and Cauchy-Schwarz over the
+    Schmidt rank ``r <= m`` keeps the normalized value at most the
+    concurrence. Every field reads the snapped Schmidt spectrum, so each is
+    exactly 0 on a product state.
     """
     sd = schmidt(state)
-    lam = np.clip(sd.coefficients**2, 0.0, 1.0)
-    value = float(_entropy_from_eigenvalues(lam))
-    d = sd.rank
-    if d >= 2:
-        normalized = float(value / np.sqrt(d - 1))
-        purity = float((lam**2).sum())
-        conc = float(np.sqrt(max(d / (d - 1) * (1.0 - purity), 0.0)))
-        conc = min(conc, 1.0)
-    else:
-        normalized = 0.0
-        conc = 0.0
+    lam = _snapped(sd.coefficients**2)
+    value = _entropy_from_eigenvalues(lam)
+    m = min(state.dims.da, state.dims.db)
+    purity = float((lam**2).sum())
+    conc = min(float(np.sqrt(max(m / (m - 1) * (1.0 - purity), 0.0))), 1.0)
     ent = None
     if state.dims.da == 2 and state.dims.db == 2:
         ent = entropy_from_concurrence(conc)
-    return PureEntanglementReport(value, normalized, d, conc, ent)
+    return PureEntanglementReport(value, value / roof_normalization(state.dims), sd.rank,
+                                  conc, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +233,17 @@ def certified_lower(rho: DensityOperator) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The asymmetry values ``lower``/``lower_swapped`` are reported but are
-    no floor of the convex roof; ``certified_lower`` is."""
+    """Both sides' bounds, their tighter pair (max lower, min upper) and the
+    certified floor, in printed order. The asymmetry values are no floor of
+    the convex roof; ``certified_lower`` is."""
 
     lower: float
     upper: float
     lower_swapped: float
     upper_swapped: float
+    best_lower: float
+    best_upper: float
     certified_lower: float
-
-    @property
-    def best_lower(self) -> float:
-        return max(self.lower, self.lower_swapped)
-
-    @property
-    def best_upper(self) -> float:
-        return min(self.upper, self.upper_swapped)
 
 
 def bounds_report(rho: DensityOperator,
@@ -248,13 +257,14 @@ def bounds_report(rho: DensityOperator,
     lower_b, _, _ = asymmetry_lower_bound(rho, "B", config)
     upper = nonreality_entropy(rho.marginal("A"))
     upper_b = nonreality_entropy(rho.marginal("B"))
-    report = BoundsReport(lower, upper, lower_b, upper_b, certified_lower(rho))
-    if report.best_lower > report.best_upper + OptimizerConfig.tol:
+    best_lower, best_upper = max(lower, lower_b), min(upper, upper_b)
+    if best_lower > best_upper + OptimizerConfig.tol:
         raise OptimizerFailed(
-            f"lower bound {report.best_lower!r} exceeds upper bound "
-            f"{report.best_upper!r} beyond slack"
+            f"lower bound {best_lower!r} exceeds upper bound "
+            f"{best_upper!r} beyond slack"
         )
-    return report
+    return BoundsReport(lower, upper, lower_b, upper_b, best_lower, best_upper,
+                        certified_lower(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +327,6 @@ def _marginal_entropy_functional(dims: BipartiteDims):
         return out
 
     return functional
-
-
-def roof_normalization(dims: BipartiteDims) -> float:
-    """Normalization constant ``sqrt(d_min - 1)`` for the convex-roof value."""
-    return float(np.sqrt(min(dims.da, dims.db) - 1))
 
 
 RANK_TOL = 1e-12

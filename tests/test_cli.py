@@ -108,6 +108,21 @@ def test_pure_accepts_rank_one_density(tmp_path):
     assert json.loads(res.stdout)["value"] == 1.0
 
 
+def test_pure_and_mixed_print_one_normalized(tmp_path, capsys):
+    # the Bell state embedded in 3x3 has Schmidt rank 2, below min(dA, dB) = 3:
+    # both commands divide its value 1 by sqrt(3 - 1)
+    bell = np.zeros((3, 3), dtype=complex)
+    bell[0, 0] = bell[1, 1] = 1 / np.sqrt(2)
+    path = tmp_path / "bell33.json"
+    ke.save_state(ke.BipartitePureState(ke.BipartiteDims(3, 3), bell.ravel()), path)
+    printed = {}
+    for command in ("pure", "mixed"):
+        assert cli.main([command, "--state", str(path)]) == 0
+        printed[command] = json.loads(capsys.readouterr().out)
+    assert printed["pure"]["normalized"] == printed["mixed"]["normalized"] == 0.707106781187
+    assert printed["pure"]["concurrence"] == 0.866025403784
+
+
 def test_pure_rejects_mixed_density(tmp_path):
     path = tmp_path / "state.json"
     ke.save_state(ke.werner_state(0.5), path)
@@ -231,6 +246,18 @@ def test_bounds_maximally_mixed():
     assert report["lower"] <= 1e-8
     assert abs(report["upper"] - 1.0) < 1e-9
     assert report["certified_lower"] == 0.0
+
+
+def test_readme_bounds_report(capsys):
+    # the README line's full report, field for field and in order
+    assert cli.main(["bounds", "--builtin", "werner:0.0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time_s"]
+    assert list(report.items()) == [
+        ("command", "bounds"), ("dims", [2, 2]), ("lower", 0.0), ("upper", 1.0),
+        ("lower_swapped", 0.0), ("upper_swapped", 1.0), ("best_lower", 0.0),
+        ("best_upper", 1.0), ("certified_lower", 0.0), ("seed", 0), ("restarts", 8),
+    ]
 
 
 @pytest.mark.parametrize("delta", [4e-11, 9e-11])

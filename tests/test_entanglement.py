@@ -59,10 +59,30 @@ def test_pure_entanglement_examples():
     assert abs(me3.normalized - 1.0) < 1e-12
 
 
+def haar_rank_state(dims, rank, seed):
+    """A Haar state of ``dA x rank`` carried into ``dims`` by a Haar isometry
+    on B: its amplitude matrix has rank ``rank``."""
+    m = ke.haar_pure(ke.BipartiteDims(dims.da, rank), seed).matrix()
+    return ke.BipartitePureState(dims, (m @ ke.haar_unitary(dims.db, seed)[:rank]).ravel())
+
+
+def rank_deficient_states():
+    """The Bell state embedded in 3x3, then Haar rank-2 and rank-3 states in
+    3x3, 4x4 and 3x5, all but the full-rank ones below min(dA, dB)."""
+    bell = np.zeros((3, 3), dtype=complex)
+    bell[0, 0] = bell[1, 1] = 1 / np.sqrt(2)
+    yield ke.BipartitePureState(ke.BipartiteDims(3, 3), bell.ravel())
+    for da, db in ((3, 3), (4, 4), (3, 5)):
+        for rank in (2, 3):
+            for seed in range(5):
+                yield haar_rank_state(ke.BipartiteDims(da, db), rank, seed)
+
+
 def test_normalized_value_at_most_concurrence():
-    # the paper's bound by the concurrence: with Schmidt rank d, Cauchy-Schwarz
-    # gives sum sqrt(l (1 - l)) <= sqrt(d (1 - sum l^2)), so the normalized
-    # value never exceeds the concurrence (equality on two qubits is
+    # the paper's bound by the concurrence: with Schmidt rank r <= m =
+    # min(dA, dB), Cauchy-Schwarz gives sum sqrt(l (1 - l)) <= sqrt(r (1 - sum
+    # l^2)) <= sqrt(m (1 - sum l^2)), so the normalized value never exceeds
+    # the concurrence (equality on two qubits is
     # test_two_qubit_normalized_equals_concurrence)
     for d in range(2, 6):
         for db in (d, d + 1):
@@ -70,6 +90,29 @@ def test_normalized_value_at_most_concurrence():
                 rep = ke.pure_entanglement(ke.haar_pure(ke.BipartiteDims(d, db), 1000 * d + seed))
                 assert rep.schmidt_rank == d
                 assert rep.normalized <= rep.concurrence + 1e-12
+    for state in rank_deficient_states():
+        rep = ke.pure_entanglement(state)
+        assert rep.normalized <= rep.concurrence + 1e-12
+
+
+def test_pure_normalized_is_the_roof_of_its_density():
+    # one normalization, sqrt(min(dA, dB) - 1), whatever the Schmidt rank
+    for state in rank_deficient_states():
+        pure = ke.pure_entanglement(state)
+        roof = ke.mixed_entanglement(state.density())
+        assert pure.schmidt_rank in (2, 3)
+        assert abs(pure.normalized - roof.value / ke.roof_normalization(state.dims)) <= 1e-12
+
+
+def test_product_states_read_exactly_zero():
+    # the top Schmidt weight of a product state can round more than SNAP
+    # below 1 (seed 226 in 2x2): every field still reads 0, as the roof does
+    for da, db in ((2, 2), (2, 3), (3, 3), (4, 5), (3, 7)):
+        for seed in range(300):
+            state = ke.random_product_pure(ke.BipartiteDims(da, db), seed)
+            rep = ke.pure_entanglement(state)
+            assert (rep.value, rep.normalized, rep.concurrence) == (0.0, 0.0, 0.0)
+            assert ke.nonreality_entropy(state.density().marginal("A")) == 0.0
 
 
 def test_entropy_from_concurrence():
@@ -295,16 +338,17 @@ def test_pure_value_falls_on_average_under_local_instruments():
                 assert after <= before + 1e-12, (dims, side, seed)
 
 
+def schmidt_report(lam):
+    """Pure-state report of the ``d x d`` state with Schmidt weights ``lam``."""
+    d = len(lam)
+    amps = np.diag(np.sqrt(lam)).astype(complex).ravel()
+    return ke.pure_entanglement(ke.BipartitePureState(ke.BipartiteDims(d, d), amps))
+
+
 def test_pure_value_rises_under_t_transforms():
     # Nielsen: a monotone is Schur-concave in the Schmidt coefficients, so a
     # transfer between two of them toward their mean never lowers the value
     rng = np.random.default_rng(9)
-
-    def value(schmidt):
-        d = len(schmidt)
-        amps = np.diag(np.sqrt(schmidt)).astype(complex).ravel()
-        return ke.pure_entanglement(ke.BipartitePureState(ke.BipartiteDims(d, d), amps)).value
-
     for d in (2, 3, 4, 5):
         for _ in range(500):
             lam = rng.dirichlet(np.ones(d))
@@ -313,7 +357,32 @@ def test_pure_value_rises_under_t_transforms():
             moved = lam.copy()
             moved[i] = t * lam[i] + (1 - t) * lam[j]
             moved[j] = (1 - t) * lam[i] + t * lam[j]
-            assert value(moved) >= value(lam) - 1e-12, (lam, i, j, t)
+            assert (schmidt_report(moved).value
+                    >= schmidt_report(lam).value - 1e-12), (lam, i, j, t)
+
+
+def nielsen_pairs():
+    """Schmidt weights ``(psi, phi)`` with ``psi`` majorized by ``phi``, so
+    ``psi -> phi`` by LOCC (Nielsen, PRL 83, 436 (1999)): a fixed pair, then
+    Haar states at d = 3, 4, 5 with their smallest weight moved onto their
+    largest, which lowers the Schmidt rank."""
+    yield np.array([0.49, 0.49, 0.02]), np.array([0.5, 0.5, 0.0])
+    rng = np.random.default_rng(24)
+    for d in (3, 4, 5):
+        for _ in range(200):
+            lam = ke.schmidt(ke.haar_pure(ke.BipartiteDims(d, d), rng)).coefficients ** 2
+            moved = lam.copy()
+            moved[0] += moved[-1]
+            moved[-1] = 0.0
+            yield lam, moved
+
+
+def test_no_pure_field_rises_along_nielsen_pairs():
+    for lam, moved in nielsen_pairs():
+        before, after = schmidt_report(lam), schmidt_report(moved)
+        assert after.schmidt_rank == before.schmidt_rank - 1
+        for field in ("value", "normalized", "concurrence"):
+            assert getattr(after, field) <= getattr(before, field) + 1e-12, (field, lam)
 
 
 def test_mixed_entanglement_pure_input():
