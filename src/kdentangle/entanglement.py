@@ -182,7 +182,7 @@ def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray, side: str) -> flo
     one stack."""
     x_ops = (basis * _sign_patterns(basis.shape[0])[:, None, :]) @ linalg.dagger(basis)
     full = linalg.embed_local(x_ops, dims, side)
-    return float(linalg.commutator_trace_norm(full, rho_mat).max()) / 2.0
+    return float(np.maximum.reduce(linalg.commutator_trace_norm(full, rho_mat))) / 2.0
 
 
 ASYMMETRY_SEARCH = OptimizerConfig(restarts=8, max_iters=600)
@@ -317,11 +317,11 @@ def _marginal_entropy_functional(dims: BipartiteDims):
         if m.shape[1] != 2:
             w = np.linalg.svd(m, compute_uv=False) ** 2
             w[w < SNAP * norm2[:, None]] = 0.0
-            return np.sqrt(w * (w.sum(axis=-1, keepdims=True) - w)).sum(axis=-1)
+            return np.add.reduce(np.sqrt(w * (np.add.reduce(w, -1, keepdims=True) - w)), -1)
         outer = m[:, 0, :, None] * m[:, 1, None, :]
         minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
         minors = minors.reshape(len(m), -1).view(float)
-        det = 0.5 * (minors * minors).sum(axis=-1)
+        det = 0.5 * np.add.reduce(minors * minors, -1)
         out = 2.0 * np.sqrt(det)
         out[det < SNAP * norm2**2] = 0.0
         return out
@@ -398,7 +398,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     functional = _marginal_entropy_functional(rho.dims)
 
     def cost(u):
-        return float(functional(u[:, :rank] @ rows).sum())
+        return float(np.add.reduce(functional(u[:, :rank] @ rows)))
 
     if rank == 1:
         u = np.eye(k_terms)

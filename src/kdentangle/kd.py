@@ -104,7 +104,7 @@ def max_nonreality(rho: DensityOperator, basis_a) -> float:
 def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
                         side: str = "A") -> float:
     projs = linalg.embed_local(linalg.projectors(basis_a), dims, side)
-    return float(linalg.commutator_trace_norm(projs, rho_mat).sum()) / 2.0
+    return float(np.add.reduce(linalg.commutator_trace_norm(projs, rho_mat))) / 2.0
 
 
 def optimal_second_basis(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def hermitian_trace_norm(h):
     A stack ``(k, n, n)`` gives the ``k`` trace norms from one stacked
     ``eigvalsh``; a single matrix gives a float.
     """
-    norms = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+    norms = np.add.reduce(np.abs(np.linalg.eigvalsh(h)), -1)
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -48,8 +48,7 @@ def commutator_trace_norm(x, rho):
     is Hermitian and the trace norm reduces to a sum of real eigenvalue moduli.
     A stack of ``x`` gives one norm per operator, as ``hermitian_trace_norm``.
     """
-    c = x @ rho - rho @ x
-    return hermitian_trace_norm(1j * c)
+    return hermitian_trace_norm(1j * (x @ rho - rho @ x))
 
 
 @functools.cache
@@ -118,6 +117,6 @@ def binary_measurement(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     binary measurements ``{P, Q}``, one for each projector ``P`` of the stack
     ``projs`` ``(k, n, n)``; both sandwiches are taken in one stacked product."""
     k, n, _ = projs.shape
-    pq = np.concatenate((projs, np.eye(n) - projs))
+    pq = np.concatenate((projs, _identity(n) - projs))
     sandwiched = pq @ rho @ pq
     return sandwiched[:k] + sandwiched[k:]

@@ -103,13 +103,13 @@ def unitary_from_angles(angles, dim: int) -> np.ndarray:
             f"expected {angle_count(dim)} angles for dim {dim}, got {a.size}"
         )
     _, base, flat = _rotation_plan(dim)
-    c = np.cos(a[0::2])
-    s = np.sin(a[0::2]) * np.exp(1j * a[1::2])
+    theta = a[0::2]
+    c, s = np.cos(theta), np.sin(theta) * np.exp(1j * a[1::2])
     g = base.copy()
-    g.flat[flat] = np.concatenate([c, c, -np.conj(s), s])
+    g.put(flat, np.concatenate((c, c, -s.conj(), s)))
     u = g[0]
-    for rotation in g[1:]:
-        u = rotation @ u
+    for rotation in g[1:]:  # .dot runs the zgemm of @ without the gufunc dispatch
+        u = rotation.dot(u)
     return u
 
 
@@ -155,9 +155,10 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     re-sorts are the same default ``argsort``, so tied vertices keep scipy's
     order; every iterate and the returned ``x``, ``fun``, ``nit``, ``nfev``
     and ``success`` equal scipy's bit for bit. The code itself differs: it
-    calls ndarray methods rather than their slower module-level wrappers, and
-    tests the spread of the values before that of the vertices (both pure
-    tests, so it stops at the same iteration). As there, ``nit`` starts at 1
+    calls ndarray methods rather than module-level wrappers, and tests the
+    spread of the sorted values first, as ``fsim[-1] - fsim[0]``: rounding is
+    monotone, so that is scipy's ``max|fsim[0] - fsim[1:]|``, and a nan
+    (sorted last) or an inf fails both. As there, ``nit`` starts at 1
     and a run that reaches ``max_iters`` reports no success. ``fun`` must not
     modify its argument.
 
@@ -186,7 +187,7 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
         sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     nit = 1
     while nit < max_iters:
-        if (abs(fsim[0] - fsim[1:]).max() <= FATOL
+        if (fsim[-1] - fsim[0] <= FATOL
                 and abs(sim[1:] - sim[0]).max() <= XATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -240,7 +241,7 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig):
     """
     def rotated(ref, angles):
         u = unitary_from_angles(angles, dim)
-        return u if ref is None else ref @ u
+        return u if ref is None else ref.dot(u)
 
     zero = np.zeros(angle_count(dim))
     restarts = (

@@ -57,8 +57,7 @@ class WeakValueEstimate:
 
 SHOTS_CAP = int(np.iinfo(np.int64).max)
 PREPARATIONS = ("state", "measured")
-
-
+_QUARTER_TURN = np.exp(-1j * np.pi / 2) - 1.0  # V - I = _QUARTER_TURN * P
 _ZERO_WORD = bytes(4)
 
 
@@ -117,7 +116,7 @@ def _cell_counts(rho_mat, projs, bases_y, shots, master_seed, cells):
     states = np.empty((k, 2, n, n), dtype=complex)
     states[:, 0] = rho_mat
     states[:, 1] = linalg.binary_measurement(rho_mat, projs)
-    v = np.eye(n) + (np.exp(-1j * np.pi / 2) - 1.0) * projs
+    v = linalg._identity(n) + _QUARTER_TURN * projs
     preps = v[:, None] @ states @ np.conj(v[:, None]).swapaxes(-1, -2)
     born = np.einsum("xiy,xpij,xjy->xpy", np.conj(bases_y), preps, bases_y).real
     p = np.maximum(born, 0.0)

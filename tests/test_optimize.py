@@ -55,6 +55,33 @@ def test_materialize_dimension_one():
     assert np.array_equal(ke.unitary_from_angles(np.zeros(0), 1), [[1]])
 
 
+def matmul_chain_unitary(angles, dim):
+    """Reference: the rotation product with flat-index assignment and ``@``."""
+    a = np.asarray(angles, dtype=float).reshape(-1)
+    _, base, flat = optimize._rotation_plan(dim)
+    c = np.cos(a[0::2])
+    s = np.sin(a[0::2]) * np.exp(1j * a[1::2])
+    g = base.copy()
+    g.flat[flat] = np.concatenate([c, c, -np.conj(s), s])
+    u = g[0]
+    for rotation in g[1:]:
+        u = rotation @ u
+    return u
+
+
+def test_rotation_product_equals_the_matmul_chain_bit_for_bit():
+    rng = np.random.default_rng(64)
+    for dim in range(1, 17):
+        n = angle_count(dim)
+        cases = [np.zeros(n), np.full(n, np.pi), np.full(n, -np.pi),
+                 rng.choice([-np.pi, 0.0, np.pi], n)]
+        cases += [rng.uniform(-np.pi, np.pi, n) for _ in range(20)]
+        cases += [rng.uniform(-1e3, 1e3, n) for _ in range(20)]
+        for angles in cases:
+            ours = ke.unitary_from_angles(angles, dim)
+            assert np.array_equal(ours.view(float), matmul_chain_unitary(angles, dim).view(float))
+
+
 def test_param_count_validation():
     # the d**2 length of a parametrization with diagonal phases is rejected too
     for size, dim in ((8, 3), (9, 3), (5, 2), (4, 2)):
@@ -441,3 +468,25 @@ def test_nelder_mead_matches_scipy_on_a_noisy_objective():
             assert calls != fifo_calls(trial_points, size + step)
         # repeats were served, and evicted points were evaluated again
         assert len(set(calls)) < len(calls) < ours.nfev
+
+
+def walled_kink(beyond):
+    """``|x|_1``, whose value spread at a collapsed simplex is about its
+    vertex spread, so the value test decides; ``beyond`` past the wall
+    ``x_0 = 0`` through the minimum."""
+    return lambda x: float(np.abs(x).sum()) if x[0] <= 0.0 else beyond
+
+
+def test_nelder_mead_matches_scipy_where_the_value_spread_is_not_finite_or_zero():
+    # the value test reads the sorted ends, fsim[-1] - fsim[0]; scipy reads
+    # max|fsim[0] - fsim[1:]|. They must agree with an inf or a nan among
+    # the vertices, and on a constant, where the spread is 0 from the start
+    # and the vertex test alone stops the descent
+    for beyond, x0 in ((np.inf, np.array([-0.5, 0.3, 0.2])), (np.nan, np.array([-0.5, 0.3]))):
+        fun, calls = counting(walled_kink(beyond))
+        res = assert_matches_scipy(optimize._scipy_minimize, fun, x0, 2000)
+        assert res.success and 0.0 < res.fun < 1e-7
+        assert any(np.frombuffer(x)[0] > 0.0 for x in calls)
+    res = assert_matches_scipy(optimize._scipy_minimize, lambda x: 1.0,
+                               np.array([0.3, -1.2, 0.8]), 2000)
+    assert res.success and res.fun == 1.0 and res.nit > 1
