@@ -8,6 +8,7 @@ basis is either a local basis of subsystem A (marginal form, projectors
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,17 +95,27 @@ def max_nonreality(rho: DensityOperator, basis_a) -> float:
 
     For each first-basis projector the supremum over second bases equals half
     the trace norm of its commutator with the state, attained at the eigenbasis
-    of ``i [P_x (x) I_B, rho]``; no numeric search is involved.
+    of ``i [P_x (x) I_B, rho]``; no numeric search is involved. That norm is
+    twice the trace norm of the off-diagonal block ``<x| rho |x^c>`` in the
+    product frame of the basis, so the value is the sum of the singular
+    values of the ``dA`` blocks, all taken from one stacked SVD.
     """
     dims = rho.dims
     a = require_basis(basis_a, dims.da)
     return _max_nonreality_mat(rho.matrix, dims.as_tuple(), a)
 
 
+@functools.cache
+def _singletons(d: int) -> tuple:
+    """The one-outcome subsets ``((0,), ..., (d - 1,))``, built once per ``d``."""
+    return tuple((x,) for x in range(d))
+
+
 def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
                         side: str = "A") -> float:
-    projs = linalg.embed_local(linalg.projectors(basis_a), dims, side)
-    return float(np.add.reduce(linalg.commutator_trace_norm(projs, rho_mat))) / 2.0
+    norms = linalg.commutator_trace_norm(rho_mat, basis_a, dims, side,
+                                         _singletons(basis_a.shape[0]))
+    return float(np.add.reduce(norms)) / 2.0
 
 
 def optimal_second_basis(rho_mat: np.ndarray, proj: np.ndarray) -> np.ndarray:

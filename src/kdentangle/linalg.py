@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# the one entry appended to a flattened matrix that block padding points at
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite, 2-D complex array."""
@@ -41,14 +45,63 @@ def hermitian_trace_norm(h):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def commutator_trace_norm(x, rho):
-    """``||[x, rho]||_1`` for Hermitian ``x`` and ``rho``.
+def commutator_trace_norm(rho, basis, dims, side, subsets) -> np.ndarray:
+    """``||[P_S (x) I, rho]||_1`` for each local outcome subset ``S`` of
+    ``subsets`` (a tuple of index tuples), with ``P_S`` the projector onto
+    the columns ``S`` of the ``side`` basis ``basis``; ``(k,)`` out.
 
-    The commutator of two Hermitian matrices is skew-Hermitian, so ``i[x, rho]``
-    is Hermitian and the trace norm reduces to a sum of real eigenvalue moduli.
-    A stack of ``x`` gives one norm per operator, as ``hermitian_trace_norm``.
+    For a projector ``P`` and ``Q = 1 - P`` the commutator is
+    ``P rho Q - Q rho P``, block off-diagonal, so for Hermitian ``rho`` its
+    trace norm is ``2 ||P rho Q||_1``. ``rho`` is rotated once into the
+    product frame of ``basis``, where each ``P_S (x) I`` is a coordinate
+    projector, and every block ``<S| rho |S^c>`` (shorter side first,
+    zero-padded to one shape, which adds only zero singular values) goes
+    through one stacked SVD. The block form assumes ``rho = rho^dag``: for a
+    near-Hermitian ``rho`` it reads the ``<S| rho |S^c>`` blocks alone.
+
+    The rotation takes ``rho - I / N``, which no commutator sees: its
+    roundoff then scales with what is left, so the maximally mixed state
+    gets exact zeros, as the full commutator gives, and a search on it sees
+    a flat objective rather than roundoff.
     """
-    return hermitian_trace_norm(1j * (x @ rho - rho @ x))
+    u = embed_local(basis[None], dims, side)[0]
+    rotated = dagger(u).dot(rho - _maximally_mixed(rho.shape[0])).dot(u)
+    padded = np.concatenate((rotated, _ZERO), axis=None)
+    blocks = padded[_block_plan(int(dims[0]), int(dims[1]), side, subsets)]
+    return 2.0 * np.add.reduce(np.linalg.svd(blocks, compute_uv=False), -1)
+
+
+@functools.cache
+def _block_plan(da: int, db: int, side: str, subsets) -> np.ndarray:
+    """Read-only ``(k, r, c)`` flat indices into the ``(da*db) x (da*db)``
+    matrix ``m`` flattened with ``_ZERO`` appended, that lay out each block
+    ``m[<S|, |S^c>]`` with its shorter side first; the padding points at the
+    appended zero. Built once per ``(da, db, side, subsets)``."""
+    n = da * db
+    local = np.arange(n).reshape(da, db)
+    if side == "B":
+        local = local.T
+    flats = []
+    for s in subsets:
+        inside = np.zeros(local.shape[0], dtype=bool)
+        inside[list(s)] = True
+        rows, cols = local[inside].ravel(), local[~inside].ravel()
+        flat = rows[:, None] * n + cols[None, :]
+        flats.append(flat.T if rows.size > cols.size else flat)
+    shape = (max(f.shape[0] for f in flats), max(f.shape[1] for f in flats))
+    plan = np.full((len(flats),) + shape, n * n)
+    for k, flat in enumerate(flats):
+        plan[k, :flat.shape[0], :flat.shape[1]] = flat
+    plan.setflags(write=False)
+    return plan
+
+
+@functools.cache
+def _maximally_mixed(n: int) -> np.ndarray:
+    """Read-only ``I / n``, built once per ``n``."""
+    mixed = np.eye(n) / n
+    mixed.setflags(write=False)
+    return mixed
 
 
 @functools.cache

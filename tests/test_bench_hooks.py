@@ -67,20 +67,22 @@ def test_traced_searches_match_untraced():
 def test_spans_see_every_evaluation():
     # each search calls its kernel once per objective call, plus once per
     # start for the driver's score of the start point, and builds one more
-    # unitary for the result; counts pinned on a 3x3 Haar state
+    # unitary for the result; counts pinned on a 3x3 Haar state. The basis
+    # searches make no eigvalsh call; the roof run makes four: one to accept
+    # the Werner state, two for the marginal-entropy bounds, one for the floor
     rho = ke.haar_pure(ke.BipartiteDims(3, 3), 3).density()
     searches = (
         (lambda: entanglement.minimized_nonreality(
             rho, ke.OptimizerConfig(restarts=2, max_iters=100)),
-         ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 684, 4),
+         ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 684, 4, 0),
         (lambda: entanglement.asymmetry_lower_bound(
             rho, "B", ke.OptimizerConfig(restarts=2, max_iters=100)),
-         ("entanglement.pattern_sup", "linalg.commutator_trace_norm"), 726, 4),
+         ("entanglement.pattern_sup", "linalg.commutator_trace_norm"), 745, 4, 0),
         (lambda: entanglement.mixed_entanglement(
             ke.werner_state(0.6), ke.OptimizerConfig(restarts=2, max_iters=200), terms=4),
-         ("entanglement.roof_functional",), 976, 3),
+         ("entanglement.roof_functional",), 976, 3, 4),
     )
-    for search, kernels, objective_calls, starts in searches:
+    for search, kernels, objective_calls, starts, eigvalsh_calls in searches:
         tracer = tracer_module.Tracer()
         with tracer.installed():
             search()
@@ -89,3 +91,4 @@ def test_spans_see_every_evaluation():
         for name in kernels:
             assert tracer.calls[name] == objective_calls + starts
         assert tracer.calls["optimize.unitary_from_angles"] == objective_calls + starts + 1
+        assert tracer.calls["linalg.eigvalsh"] == eigvalsh_calls

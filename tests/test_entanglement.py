@@ -235,6 +235,21 @@ def test_side_b_matches_swapped_state():
             assert abs(vb - va) <= 1e-12
 
 
+def test_pattern_sup_is_max_nonreality_on_a_qubit_side():
+    # on a 2-dimensional side the one sign pattern is 2 P_0 - I, and
+    # P_1 = I - P_0 gives the same commutator norm, so the two objectives agree
+    rng = np.random.default_rng(26)
+    for da, db in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        dims = ke.BipartiteDims(da, db)
+        for side in (s for s, d in (("A", da), ("B", db)) if d == 2):
+            for rank in range(1, dims.total + 1):
+                rho = ke.random_mixed(dims, rank, rng).matrix
+                basis = ke.haar_unitary(2, rng)
+                sup = entanglement._pattern_sup(rho, (da, db), basis, side)
+                total = entanglement._max_nonreality_mat(rho, (da, db), basis, side)
+                assert abs(sup - total) <= 1e-12
+
+
 def test_wootters_concurrence():
     for p in (0.0, 0.3, 0.5, 0.8, 1.0):
         rho = ke.werner_state(p)
@@ -600,6 +615,9 @@ def test_cached_constants_are_read_only():
         patterns = entanglement._sign_patterns(d)
         assert patterns is entanglement._sign_patterns(d)
         assert not patterns.flags.writeable
+        plan = linalg._block_plan(d, 2, "A", entanglement._plus_sets(d))
+        assert plan is linalg._block_plan(d, 2, "A", entanglement._plus_sets(d))
+        assert not plan.flags.writeable
         eye = linalg._identity(d)
         assert eye is linalg._identity(d)
         assert not eye.flags.writeable

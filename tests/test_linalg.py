@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdentangle import linalg
+from kdentangle import entanglement, kd, linalg
 from kdentangle.errors import DimensionMismatch
-from kdentangle.states import BipartiteDims, bell_state, haar_pure, haar_unitary
+from kdentangle.states import (
+    BipartiteDims,
+    DensityOperator,
+    bell_state,
+    haar_pure,
+    haar_unitary,
+    random_mixed,
+)
 
 
 def test_trace_norm_examples():
@@ -18,7 +25,10 @@ def test_trace_norm_examples():
     proj = np.kron(np.diag([1.0, 0.0]), np.eye(2))
     comm = proj @ rho - rho @ proj
     assert abs(linalg.trace_norm(comm) - 2 * np.sqrt(0.25)) < 1e-12
-    assert abs(linalg.commutator_trace_norm(proj, rho) - 1.0) < 1e-12
+    # the same projector as the outcome subset {0} of the computational basis
+    norms = linalg.commutator_trace_norm(rho, np.eye(2), (2, 2), "A", ((0,),))
+    assert norms.shape == (1,)
+    assert abs(norms[0] - 1.0) < 1e-12
 
 
 def test_trace_norm_unitary_invariance():
@@ -93,3 +103,66 @@ def test_binary_measurement_is_the_explicit_sum(da, db):
         for p, out in zip(projs, after, strict=True):
             q = np.eye(da * db) - p
             assert out.tobytes() == (p @ rho @ p + q @ rho @ q).tobytes()
+
+
+def dense_commutator_norms(rho, basis, dims, side, subsets):
+    """Reference: ``||[X, rho]||_1`` with ``X = embed_local(P_S)`` formed in
+    full, from the eigenvalues of the Hermitian ``i [X, rho]``."""
+    norms = []
+    for s in subsets:
+        cols = basis[:, list(s)]
+        x = linalg.embed_local((cols @ linalg.dagger(cols))[None], dims, side)[0]
+        norms.append(linalg.hermitian_trace_norm(1j * (x @ rho - rho @ x)))
+    return np.array(norms)
+
+
+def local_subsets(d):
+    """The singletons, then the ``+`` set of every sign pattern."""
+    plus = entanglement._plus_sets(d)
+    assert plus == tuple(tuple(np.flatnonzero(p > 0)) for p in entanglement._sign_patterns(d))
+    return kd._singletons(d) + plus
+
+
+@pytest.mark.parametrize("da", [2, 3, 4])
+@pytest.mark.parametrize("db", [2, 3, 4])
+def test_commutator_trace_norm_matches_dense_route(da, db):
+    rng = np.random.default_rng([da, db, 26])
+    dims = BipartiteDims(da, db)
+    for side, d in (("A", da), ("B", db)):
+        subsets = local_subsets(d)
+        for rank in range(1, dims.total + 1):
+            rho = random_mixed(dims, rank, rng).matrix
+            basis = haar_unitary(d, rng)
+            got = linalg.commutator_trace_norm(rho, basis, (da, db), side, subsets)
+            ref = dense_commutator_norms(rho, basis, (da, db), side, subsets)
+            assert got.shape == (len(subsets),)
+            assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_commutator_trace_norm_on_near_hermitian_states():
+    # DensityOperator accepts a state up to NORM_TOL from Hermitian; the block
+    # form reads only the <S| rho |S^c> blocks, which moves the norm by the
+    # anti-Hermitian part's size
+    rng = np.random.default_rng(18)
+    dims = BipartiteDims(3, 3)
+    for _ in range(20):
+        upper = np.triu(np.where(rng.random((9, 9)) < 0.5, 4.9e-11, -4.9e-11), 1)
+        rho = DensityOperator(dims, random_mixed(dims, 3, rng).matrix + upper - upper.T).matrix
+        for side in ("A", "B"):
+            basis = haar_unitary(3, rng)
+            subsets = local_subsets(3)
+            got = linalg.commutator_trace_norm(rho, basis, (3, 3), side, subsets)
+            ref = dense_commutator_norms(rho, basis, (3, 3), side, subsets)
+            assert np.abs(got - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 4)])
+def test_commutator_trace_norm_is_exactly_zero_on_the_maximally_mixed_state(da, db):
+    # the full commutator with I/N is exactly 0; the block form must not turn
+    # it into rotation roundoff, which a basis search would chase
+    rng = np.random.default_rng([da, db])
+    rho = np.eye(da * db) / (da * db) + 0j
+    for side, d in (("A", da), ("B", db)):
+        norms = linalg.commutator_trace_norm(rho, haar_unitary(d, rng), (da, db), side,
+                                             local_subsets(d))
+        assert not norms.any()
