@@ -7,10 +7,8 @@ from .entanglement import (
     ConvexRoofResult,
     PureEntanglementReport,
     asymmetry_lower_bound,
-    binary_entropy,
     bounds_report,
     certified_lower,
-    entropy_from_concurrence,
     marginal_disturbance,
     measurement_disturbance,
     minimized_nonreality,
@@ -25,7 +23,6 @@ from .errors import (
     BadSpec,
     BasisPairSingular,
     DimensionMismatch,
-    DomainError,
     KdToolError,
     NotPSD,
     NotUnitary,
@@ -58,8 +55,6 @@ from .states import (
     BipartitePureState,
     DensityOperator,
     SchmidtDecomposition,
-    apply_local_unitary,
-    basis_ket,
     bell_state,
     haar_pure,
     haar_unitary,
@@ -69,9 +64,7 @@ from .states import (
     make_state,
     max_entangled,
     product_state,
-    random_entangled_pure,
     random_mixed,
-    random_product_pure,
     save_state,
     schmidt,
     werner_state,

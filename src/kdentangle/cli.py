@@ -178,6 +178,8 @@ def cmd_mixed(args):
         "dims": [rho.dims.da, rho.dims.db],
         "value": roof.value,
         "normalized": roof.value / roof_normalization(rho.dims),
+        "certified_lower": roof.certified_lower,
+        "gap": roof.value - roof.certified_lower,
         "probabilities": roof.probabilities,
         "pure_states": [s.amplitudes for s in roof.pure_states],
         "diagnostics": dataclasses.asdict(roof.diagnostics),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadSpec, DimensionMismatch, DomainError, NotPSD, OptimizerFailed
+from .errors import BadSpec, DimensionMismatch, NotPSD, OptimizerFailed
 from .kd import _max_nonreality_mat
 from .optimize import OptimizerConfig, SearchDiagnostics, _multistart, minimize_over_bases
 from .states import (
@@ -65,28 +65,12 @@ def nonreality_entropy(rho_local) -> float:
     return _entropy_from_eigenvalues(lam)
 
 
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy in bits."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
-
-
-def entropy_from_concurrence(c: float) -> float:
-    """Entropy of entanglement of a two-qubit pure state with concurrence ``c``."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
-
-
 @dataclass(frozen=True)
 class PureEntanglementReport:
     value: float
     normalized: float
     schmidt_rank: int
     concurrence: float
-    entropy_of_entanglement: float | None
 
 
 def roof_normalization(dims: BipartiteDims) -> float:
@@ -114,11 +98,7 @@ def pure_entanglement(state: BipartitePureState) -> PureEntanglementReport:
     m = min(state.dims.da, state.dims.db)
     purity = float((lam**2).sum())
     conc = min(float(np.sqrt(max(m / (m - 1) * (1.0 - purity), 0.0))), 1.0)
-    ent = None
-    if state.dims.da == 2 and state.dims.db == 2:
-        ent = entropy_from_concurrence(conc)
-    return PureEntanglementReport(value, value / roof_normalization(state.dims), sd.rank,
-                                  conc, ent)
+    return PureEntanglementReport(value, value / roof_normalization(state.dims), sd.rank, conc)
 
 
 # ---------------------------------------------------------------------------
@@ -214,31 +194,40 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
 
 
 def certified_lower(rho: DensityOperator) -> float:
-    """Certified floor of the convex roof,
-    ``max(0, (||rho^{T_A}||_1 - 1) / sqrt(m (m - 1)))`` with
-    ``m = min(dA, dB)``, from one ``eigvalsh`` of the partial transpose.
+    """Certified floor of the convex roof: the largest of 0 and three terms,
+    each a convex function of ``rho`` that is at most the value ``E`` of
+    every pure state, so at most the roof; ``m = min(dA, dB)``:
 
-    For a pure state ``sum_j sqrt(lam_j (1 - lam_j)) >= sqrt(1 - Tr rho_A^2)``,
-    which is the concurrence over ``sqrt(2)``; the concurrence of a mixed
-    state is at least ``sqrt(2 / (m (m - 1)))`` times its negativity
-    ``||rho^{T_A}||_1 - 1`` (Chen, Albeverio & Fei, PRL 95, 040504 (2005)),
-    and both sides are convex roofs.
-
-    When ``dA = dB = d`` the floor also takes ``-Tr(F rho)``, with ``F`` the
-    swap. For a pure state with amplitude matrix ``M = U S W^dag`` and
-    ``X = U^dag conj(W)``, ``<F> = sum_ij s_i s_j X_ij conj(X_ji)``, so
-    ``-<F> <= sum_{i != j} s_i s_j |X_ij|^2``; Cauchy-Schwarz on each row,
-    with ``sum_j |X_ij|^4 <= 1``, bounds that by
-    ``sum_i s_i sqrt(1 - s_i^2) = E(psi)``. ``max(0, -x)`` is convex, so the
-    roof is at least ``max(0, -Tr(F rho))``; it is 1 on every state of the
-    antisymmetric subspace."""
+    - the negativity ``||rho^{T_A}||_1 - 1``, over ``sqrt(m (m - 1))`` when
+      ``m > 2``. For a pure state ``E >= sqrt(1 - Tr rho_A^2)``, the
+      concurrence over ``sqrt(2)``, and at ``m = 2`` the two Schmidt weights
+      make ``E`` the concurrence itself; the concurrence of a mixed state is
+      at least ``sqrt(2 / (m (m - 1)))`` times its negativity (Chen,
+      Albeverio & Fei, PRL 95, 040504 (2005)), and both sides are convex
+      roofs. One ``eigvalsh`` of the partial transpose.
+    - the fidelity term ``(m <Phi_m| rho |Phi_m> - 1) / sqrt(m - 1)``, with
+      ``Phi_m = sum_{i<m} |i, i> / sqrt(m)``. For Schmidt weights ``lam``,
+      ``|<Phi_m|psi>|^2 <= (sum_i sqrt(lam_i))^2 / m``, and Cauchy-Schwarz on
+      each ``sum_{j != i} sqrt(lam_j)`` gives ``(sum_i sqrt(lam_i))^2 - 1 <=
+      sqrt(m - 1) E``. The term is affine in ``rho`` and exact on every
+      isotropic state. One ``m x m`` gather of ``rho``.
+    - when ``dA = dB = d``, the swap term ``-Tr(F rho)``. For a pure state
+      with amplitude matrix ``M = U S W^dag`` and ``X = U^dag conj(W)``,
+      ``<F> = sum_ij s_i s_j X_ij conj(X_ji)``, so ``-<F> <= sum_{i != j}
+      s_i s_j |X_ij|^2``; Cauchy-Schwarz on each row, with
+      ``sum_j |X_ij|^4 <= 1``, bounds that by ``sum_i s_i sqrt(1 - s_i^2) =
+      E(psi)``. It is 1 on every state of the antisymmetric subspace."""
     da, db = rho.dims.as_tuple()
-    pt = rho.matrix.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, -1)
     m = min(da, db)
-    floor = max(0.0, float((linalg.hermitian_trace_norm(pt) - 1.0) / np.sqrt(m * (m - 1))))
+    r = rho.matrix.reshape(da, db, da, db)
+    pt = r.transpose(2, 1, 0, 3).reshape(da * db, -1)
+    negativity = float(linalg.hermitian_trace_norm(pt) - 1.0)
+    fidelity = float(np.einsum("iijj->", r[:m, :m, :m, :m]).real)  # m <Phi_m| rho |Phi_m>
+    terms = [0.0, negativity / (1.0 if m == 2 else np.sqrt(m * (m - 1))),
+             (fidelity - 1.0) / np.sqrt(m - 1)]
     if da == db:
-        floor = max(floor, -float(np.einsum("abba->", rho.matrix.reshape(da, da, da, da)).real))
-    return floor
+        terms.append(-float(np.einsum("abba->", r).real))
+    return max(terms)
 
 
 @dataclass(frozen=True)
@@ -349,14 +338,16 @@ ROOF_SEARCH = OptimizerConfig()
 
 @dataclass(frozen=True)
 class ConvexRoofResult:
-    """Minimal decomposition average found, with the achieving decomposition
-    and the decomposition size searched."""
+    """Minimal decomposition average found, with the achieving decomposition,
+    the decomposition size searched and the ``certified_lower`` floor the
+    value was checked against."""
 
     value: float
     probabilities: np.ndarray
     pure_states: list
     diagnostics: SearchDiagnostics
     terms: int
+    certified_lower: float
 
 
 def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEARCH,
@@ -386,7 +377,9 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     beyond ``OptimizerConfig.tol`` slack. A correct decomposition average can
     do neither of the last two: the eigendecomposition start already sits at
     or below that concave envelope, and no decomposition goes below the
-    certified floor.
+    certified floor. The floor, the largest of the negativity, fidelity and
+    swap terms, is kept in the result, so ``value - certified_lower`` is a
+    certified bound on how far the value can sit above the roof.
 
     The extremal-asymmetry quantity is *not* enforced as a floor here: it can
     sit strictly above the convex roof (e.g. separable states with no locally
@@ -442,7 +435,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
             f"convex-roof value {value!r} is below the certified floor "
             f"{floor!r} beyond slack {slack:g}"
         )
-    return ConvexRoofResult(value, probs, pure_states, diag, k_terms)
+    return ConvexRoofResult(value, probs, pure_states, diag, k_terms, floor)
 
 
 def wootters_concurrence(rho) -> float:

@@ -32,7 +32,3 @@ class BadParamCount(KdToolError):
 
 class OptimizerFailed(KdToolError):
     """A search produced a result violating a hard invariant or bound."""
-
-
-class DomainError(KdToolError):
-    """Scalar argument outside the mathematically valid domain."""

@@ -164,28 +164,9 @@ def schmidt(state: BipartitePureState) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u[:, :s.size], vh[:s.size].T, rank)
 
 
-def apply_local_unitary(state, u_a, u_b):
-    """Conjugate a pure or mixed state by a product unitary ``u_a (x) u_b``."""
-    dims = state.dims
-    u_a = require_basis(u_a, dims.da)
-    u_b = require_basis(u_b, dims.db)
-    u = np.kron(u_a, u_b)
-    if isinstance(state, BipartitePureState):
-        return BipartitePureState(dims, u @ state.amplitudes)
-    if isinstance(state, DensityOperator):
-        return DensityOperator(dims, u @ state.matrix @ linalg.dagger(u))
-    raise BadSpec(f"unsupported state type {type(state).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def basis_ket(dims: BipartiteDims, i_a: int, i_b: int) -> BipartitePureState:
-    amps = np.zeros(dims.total, dtype=complex)
-    amps[i_a * dims.db + i_b] = 1.0
-    return BipartitePureState(dims, amps)
-
 
 def max_entangled(d: int) -> BipartitePureState:
     """Uniform-coefficient entangled state on (d, d)."""
@@ -223,7 +204,9 @@ def isotropic_state(d: int, fidelity: float) -> DensityOperator:
 
 def product_state(dims: BipartiteDims | None = None) -> BipartitePureState:
     dims = dims or BipartiteDims(2, 2)
-    return basis_ket(dims, 0, 0)
+    amps = np.zeros(dims.total, dtype=complex)
+    amps[0] = 1.0
+    return BipartitePureState(dims, amps)
 
 
 def haar_pure(dims: BipartiteDims, seed=0) -> BipartitePureState:
@@ -240,35 +223,6 @@ def haar_unitary(dim: int, seed=0) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d)).conj()
-
-
-def random_product_pure(dims: BipartiteDims, seed=0) -> BipartitePureState:
-    rng = np.random.default_rng(seed)
-    za = rng.standard_normal(dims.da) + 1j * rng.standard_normal(dims.da)
-    zb = rng.standard_normal(dims.db) + 1j * rng.standard_normal(dims.db)
-    amps = np.kron(za / np.linalg.norm(za), zb / np.linalg.norm(zb))
-    return BipartitePureState(dims, amps)
-
-
-def random_entangled_pure(dims: BipartiteDims, min_coeff: float = 0.1, seed=0) -> BipartitePureState:
-    """Random pure state whose smallest Schmidt coefficient is >= ``min_coeff``.
-
-    The squared coefficients are ``min_coeff**2`` each plus a uniformly random
-    share of the remaining weight ``1 - d * min_coeff**2``; at the feasibility
-    limit ``min_coeff = 1/sqrt(d)`` they are all equal.
-    """
-    rng = np.random.default_rng(seed)
-    d = min(dims.da, dims.db)
-    if min_coeff * np.sqrt(d) > 1.0:
-        raise BadSpec(f"min_coeff {min_coeff} infeasible for Schmidt rank {d}")
-    floor = max(min_coeff, 0.0) ** 2
-    c = np.sqrt(floor + (1.0 - d * floor) * rng.dirichlet(np.ones(d)))
-    u_a = haar_unitary(dims.da, rng)
-    u_b = haar_unitary(dims.db, rng)
-    amps = np.zeros(dims.total, dtype=complex)
-    for j in range(d):
-        amps += c[j] * np.kron(u_a[:, j], u_b[:, j])
-    return BipartitePureState(dims, amps / np.linalg.norm(amps))
 
 
 def random_mixed(dims: BipartiteDims, rank: int, seed=0) -> DensityOperator:

@@ -18,7 +18,6 @@ from . import kd, linalg, weakvalue
 from .entanglement import (
     ROOF_SEARCH,
     asymmetry_lower_bound,
-    binary_entropy,
     marginal_disturbance,
     measurement_disturbance,
     minimized_nonreality,
@@ -205,7 +204,7 @@ def suite_prop5(seed: int = 0, count: int = 100) -> tuple[bool, float, str]:
 
 def suite_concurrence(seed: int = 0, count: int = 100) -> tuple[bool, float, str]:
     """Two-qubit equalities: normalized value = concurrence = 2 sqrt(l1 l2),
-    and the concurrence-entropy map reproduces the marginal entropy."""
+    with ``l1, l2`` the eigenvalues of the A marginal."""
     rng = np.random.default_rng([seed, 37])
     d = BipartiteDims(2, 2)
     dev = 0.0
@@ -217,8 +216,6 @@ def suite_concurrence(seed: int = 0, count: int = 100) -> tuple[bool, float, str
         direct = 2.0 * np.sqrt(lam[0] * lam[1])
         dev = max(dev, abs(report.normalized - direct))
         dev = max(dev, abs(report.concurrence - direct))
-        vn = binary_entropy(float(lam[1]))
-        dev = max(dev, abs(report.entropy_of_entanglement - vn))
     return (dev <= 1e-9, dev,
             f"max two-qubit equality dev {dev:.3e}")
 

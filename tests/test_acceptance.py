@@ -16,6 +16,7 @@ import numpy as np
 
 import kdentangle as ke
 from kdentangle import verify
+from samplers import random_entangled_pure, random_product_pure
 
 
 def report(num, name, passed, detail):
@@ -148,9 +149,8 @@ def test_criterion_9_invariance_and_faithfulness():
     for k in range(50):
         dims = dims_grid[k % 3]
         state = ke.haar_pure(dims, rng)
-        rotated = ke.apply_local_unitary(
-            state, ke.haar_unitary(dims.da, rng), ke.haar_unitary(dims.db, rng)
-        )
+        u = np.kron(ke.haar_unitary(dims.da, rng), ke.haar_unitary(dims.db, rng))
+        rotated = ke.BipartitePureState(dims, u @ state.amplitudes)
         lu_dev = max(lu_dev, abs(
             ke.pure_entanglement(state).value
             - ke.pure_entanglement(rotated).value
@@ -160,7 +160,7 @@ def test_criterion_9_invariance_and_faithfulness():
         dims = dims_grid[k % 3]
         product_max = max(
             product_max,
-            ke.pure_entanglement(ke.random_product_pure(dims, rng)).value,
+            ke.pure_entanglement(random_product_pure(dims, rng)).value,
         )
     entangled_min = np.inf
     for k in range(20):
@@ -168,7 +168,7 @@ def test_criterion_9_invariance_and_faithfulness():
         entangled_min = min(
             entangled_min,
             ke.pure_entanglement(
-                ke.random_entangled_pure(dims, 0.1, rng)
+                random_entangled_pure(dims, 0.1, rng)
             ).value,
         )
     passed = lu_dev <= 1e-6 and product_max <= 1e-6 and entangled_min >= 1e-3

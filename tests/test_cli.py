@@ -278,7 +278,8 @@ def test_bounds_near_pure_state(delta, tmp_path, capsys):
 def test_isotropic_builtin(capsys):
     assert cli.main(["bounds", "--builtin", "isotropic:2:0.7", "--restarts", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert abs(report["certified_lower"] - 0.4 / np.sqrt(2)) < 1e-11
+    # the exact roof 2F - 1 of the two-qubit isotropic state
+    assert abs(report["certified_lower"] - 0.4) < 1e-11
     for spec in ("isotropic:3:1.5", "isotropic:1:0.5", "isotropic:9:0.5"):
         assert cli.main(["bounds", "--builtin", spec]) == 2
         assert "error:" in capsys.readouterr().err
@@ -571,12 +572,13 @@ REPORT_KEYS = {
     "pure": (
         ["pure", "--builtin", "bell"],
         ["command", "dims", "value", "normalized", "schmidt_rank", "concurrence",
-         "entropy_of_entanglement", "seed", "wall_time_s"],
+         "seed", "wall_time_s"],
     ),
     "mixed": (
         ["mixed", "--builtin", "bell", "--restarts", "1"],
-        ["command", "dims", "value", "normalized", "probabilities", "pure_states",
-         "diagnostics", "seed", "restarts", "terms", "wall_time_s"],
+        ["command", "dims", "value", "normalized", "certified_lower", "gap",
+         "probabilities", "pure_states", "diagnostics", "seed", "restarts", "terms",
+         "wall_time_s"],
     ),
     "bounds": (
         ["bounds", "--builtin", "werner:0.0", "--restarts", "1"],

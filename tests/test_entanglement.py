@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import kdentangle as ke
 from kdentangle import entanglement, linalg
-from kdentangle.errors import DimensionMismatch, DomainError, NotPSD, OptimizerFailed
+from kdentangle.errors import DimensionMismatch, NotPSD, OptimizerFailed
+from samplers import random_product_pure
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -43,11 +44,10 @@ def test_pure_entanglement_examples():
     assert abs(rep.concurrence - 1.0) < 1e-12
     assert rep.schmidt_rank == 2
 
-    rep = ke.pure_entanglement(ke.basis_ket(ke.BipartiteDims(2, 3), 0, 1))
+    rep = ke.pure_entanglement(ke.product_state(ke.BipartiteDims(2, 3)))
     assert rep.value < 1e-12
     assert rep.concurrence == 0.0
     assert rep.schmidt_rank == 1
-    assert rep.entropy_of_entanglement is None
 
     rep = ke.pure_entanglement(lam_state())
     assert abs(rep.value - np.sqrt(3) / 2) < 1e-12
@@ -109,37 +109,15 @@ def test_product_states_read_exactly_zero():
     # below 1 (seed 226 in 2x2): every field still reads 0, as the roof does
     for da, db in ((2, 2), (2, 3), (3, 3), (4, 5), (3, 7)):
         for seed in range(300):
-            state = ke.random_product_pure(ke.BipartiteDims(da, db), seed)
+            state = random_product_pure(ke.BipartiteDims(da, db), seed)
             rep = ke.pure_entanglement(state)
             assert (rep.value, rep.normalized, rep.concurrence) == (0.0, 0.0, 0.0)
             assert ke.nonreality_entropy(state.density().marginal("A")) == 0.0
 
 
-def test_entropy_from_concurrence():
-    assert ke.entropy_from_concurrence(0.0) == 0.0
-    assert abs(ke.entropy_from_concurrence(1.0) - 1.0) < 1e-12
-    # independent evaluation of the binary entropy at (1 + 1/2) / 2
-    x = 0.75
-    h2 = -x * np.log2(x) - (1 - x) * np.log2(1 - x)
-    assert abs(ke.entropy_from_concurrence(np.sqrt(3) / 2) - h2) < 1e-12
-    assert abs(h2 - 0.811278) < 1e-6
-    with pytest.raises(DomainError):
-        ke.entropy_from_concurrence(1.5)
-
-
-def test_two_qubit_entropy_matches_von_neumann():
-    rng = np.random.default_rng(40)
-    for _ in range(50):
-        state = ke.haar_pure(ke.BipartiteDims(2, 2), rng)
-        rep = ke.pure_entanglement(state)
-        lam = np.clip(np.linalg.eigvalsh(state.density().marginal("A")), 0, 1)
-        vn = sum(-l * np.log2(l) for l in lam if l > 0)
-        assert abs(rep.entropy_of_entanglement - vn) < 1e-9
-
-
 def test_disturbance_examples():
     assert abs(ke.measurement_disturbance(ke.bell_state(), EYE2) - 1.0) < 1e-12
-    prod = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0)
+    prod = ke.product_state()
     assert ke.measurement_disturbance(prod, EYE2) < 1e-12
 
 
@@ -161,7 +139,7 @@ def test_asymmetry_lower_bound_examples():
     value, _, _ = ke.asymmetry_lower_bound(bell, "A", cfg)
     assert abs(value - 1.0) < 1e-6
 
-    prod = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
+    prod = ke.product_state().density()
     value, _, _ = ke.asymmetry_lower_bound(prod, "A", cfg)
     assert value < 1e-6
 
@@ -268,10 +246,10 @@ def test_wootters_concurrence_exact_on_pure_product_and_rotated_werner_states():
         a = ke.haar_pure(dims, k).amplitudes
         exact = 2 * abs(a[0] * a[3] - a[1] * a[2])
         assert abs(ke.wootters_concurrence(ke.haar_pure(dims, k)) - exact) < 1e-13
-        assert ke.wootters_concurrence(ke.random_product_pure(dims, k)) < 1e-13
+        assert ke.wootters_concurrence(random_product_pure(dims, k)) < 1e-13
         p = k / 199
-        rotated = ke.apply_local_unitary(ke.werner_state(p), ke.haar_unitary(2, 2 * k),
-                                         ke.haar_unitary(2, 2 * k + 1))
+        u = np.kron(ke.haar_unitary(2, 2 * k), ke.haar_unitary(2, 2 * k + 1))
+        rotated = u @ ke.werner_state(p).matrix @ u.conj().T
         assert abs(ke.wootters_concurrence(rotated) - max(0.0, (3 * p - 1) / 2)) < 1e-13
 
 
@@ -442,9 +420,8 @@ def test_local_unitary_invariance():
         da, db = ((2, 2), (2, 3), (3, 3))[k % 3]
         dims = ke.BipartiteDims(da, db)
         state = ke.haar_pure(dims, rng)
-        rotated = ke.apply_local_unitary(
-            state, ke.haar_unitary(da, rng), ke.haar_unitary(db, rng)
-        )
+        u = np.kron(ke.haar_unitary(da, rng), ke.haar_unitary(db, rng))
+        rotated = ke.BipartitePureState(dims, u @ state.amplitudes)
         before = ke.pure_entanglement(state).value
         after = ke.pure_entanglement(rotated).value
         assert abs(before - after) < 1e-6
@@ -499,10 +476,26 @@ def test_convexity_spot_check():
 
 
 def test_certified_lower_werner():
-    # the floor is the concurrence (3p - 1)/2 over sqrt(2): the roof over sqrt(2)
-    for p in (0.0, 0.2, 1 / 3, 0.6, 0.8, 1.0):
-        expected = max(0.0, (3 * p - 1) / 2) / np.sqrt(2)
+    # at m = 2 the negativity floor is the concurrence (3p - 1)/2: the exact roof
+    for p in (0.0, 0.2, 1 / 3, 0.4, 0.6, 0.8, 1.0):
+        expected = max(0.0, (3 * p - 1) / 2)
         assert abs(ke.certified_lower(ke.werner_state(p)) - expected) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 4), (5, 5)]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_certified_lower_below_pure_value(dims, seed, spread):
+    # Haar states, and states near Phi_m where the fidelity term is tight
+    da, db = dims
+    m = min(da, db)
+    phi = np.zeros((da, db), dtype=complex)
+    phi[range(m), range(m)] = 1 / np.sqrt(m)
+    z = ke.haar_pure(ke.BipartiteDims(da, db), seed).matrix()
+    for amps in (z, phi + spread * z):
+        state = ke.BipartitePureState(ke.BipartiteDims(da, db),
+                                      (amps / np.linalg.norm(amps)).ravel())
+        assert ke.certified_lower(state.density()) <= ke.pure_entanglement(state).value + 1e-12
 
 
 def test_certified_lower_below_roof_and_upper():
@@ -640,7 +633,8 @@ def mub_vectors(d):
 def test_isotropic_mub_witness(d, fidelity):
     # sqrt(a) |Phi_d> plus equal-weight products |s>|s*> over the MUB vectors
     # decompose the isotropic state; the product rows score exactly 0, so the
-    # decomposition scores a sqrt(d - 1), an upper bound on the roof
+    # decomposition scores a sqrt(d - 1), an upper bound on the roof that the
+    # certified floor meets to roundoff: the witness is an optimal decomposition
     a = (d * fidelity - 1) / (d - 1)
     s = mub_vectors(d)
     products = (s[:, :, None] * s.conj()[:, None, :]).reshape(len(s), -1)
@@ -650,4 +644,4 @@ def test_isotropic_mub_witness(d, fidelity):
     assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-14
     value = entanglement._marginal_entropy_functional(rho.dims)(rows).sum()
     assert abs(value - a * np.sqrt(d - 1)) <= 1e-12
-    assert ke.certified_lower(rho) <= value
+    assert abs(ke.certified_lower(rho) - value) <= 1e-12

@@ -36,7 +36,7 @@ def random_density(dim, rank, rng):
 
 
 def test_marginal_commuting_case():
-    rho = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
+    rho = ke.product_state().density()
     dist = ke.kd_marginal(rho, EYE2, EYE4)
     assert np.abs(dist.values.imag).max() < 1e-14
     assert abs(dist.values[0, 0] - 1.0) < 1e-12
@@ -133,7 +133,7 @@ def test_max_nonreality():
     bell = ke.bell_state().density()
     assert abs(ke.max_nonreality(bell, EYE2) - 1.0) < 1e-12
 
-    prod = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
+    prod = ke.product_state().density()
     assert ke.max_nonreality(prod, EYE2) < 1e-12
 
     # pure states: equals the probability route for every basis

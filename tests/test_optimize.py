@@ -163,7 +163,7 @@ def test_minimize_over_bases_bell():
 
 
 def test_minimize_over_bases_product():
-    rho = ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0).density()
+    rho = ke.product_state().density()
     cfg = ke.OptimizerConfig(restarts=4, max_iters=300, seed=0)
     value, _, _ = ke.minimize_over_bases(rho, objective_for(rho), cfg)
     assert value < 1e-6

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import kdentangle as ke
 from kdentangle.errors import BadSpec, DimensionMismatch, NotUnitary
 from kdentangle.states import NORM_TOL
+from samplers import random_entangled_pure, random_product_pure
 
 DIMS_GRID = [(2, 2), (2, 3), (3, 3), (2, 4)]
 
@@ -128,7 +129,7 @@ def test_density_validation():
 
 
 def test_schmidt_examples():
-    sd = ke.schmidt(ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0))
+    sd = ke.schmidt(ke.product_state())
     assert sd.rank == 1
     assert abs(sd.coefficients[0] - 1.0) < 1e-12
 
@@ -201,7 +202,7 @@ def test_make_basis_builtins():
 
 def test_isotropic_state():
     rng = np.random.default_rng(24)
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         for fidelity in (0.0, 1 / d, 0.35, 0.7, 1.0):
             rho = ke.isotropic_state(d, fidelity)
             assert rho.dims == ke.BipartiteDims(d, d)
@@ -210,9 +211,9 @@ def test_isotropic_state():
             u = ke.haar_unitary(d, rng)
             twirl = np.kron(u, u.conj())
             assert np.abs(twirl @ rho.matrix @ twirl.conj().T - rho.matrix).max() < 1e-12
-            # the floor is the oracle max(0, (dF - 1)/sqrt(d - 1)) over sqrt(d)
+            # the floor is the exact roof max(0, (dF - 1)/sqrt(d - 1))
             oracle = max(0.0, (d * fidelity - 1) / np.sqrt(d - 1))
-            assert abs(ke.certified_lower(rho) - oracle / np.sqrt(d)) < 1e-12
+            assert abs(ke.certified_lower(rho) - oracle) < 1e-12
     for p in (0.0, 0.2, 0.6, 1.0):
         rho = ke.isotropic_state(2, (1 + 3 * p) / 4)
         assert np.abs(rho.matrix - ke.werner_state(p).matrix).max() < 1e-15
@@ -224,42 +225,20 @@ def test_isotropic_state():
             ke.make_state(bad)
 
 
-def test_apply_local_unitary():
-    bell = ke.bell_state()
-    same = ke.apply_local_unitary(bell, np.eye(2), np.eye(2))
-    assert np.allclose(same.amplitudes, bell.amplitudes)
-
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    plus = ke.apply_local_unitary(ke.basis_ket(ke.BipartiteDims(2, 2), 0, 0), h, h)
-    assert np.allclose(plus.amplitudes, [0.5, 0.5, 0.5, 0.5])
-
-    rng = np.random.default_rng(23)
-    u_a, u_b = ke.haar_unitary(2, rng), ke.haar_unitary(2, rng)
-    rotated = ke.apply_local_unitary(bell, u_a, u_b)
-    assert np.allclose(
-        ke.schmidt(rotated).coefficients, [1 / np.sqrt(2)] * 2, atol=1e-9
-    )
-
-    with pytest.raises(NotUnitary):
-        ke.apply_local_unitary(bell, np.eye(2) * 2, np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        ke.apply_local_unitary(bell, np.eye(3), np.eye(2))
-
-
 def test_random_families():
     dims = ke.BipartiteDims(2, 3)
     rho = ke.random_mixed(dims, 2, 42)
     lam = np.linalg.eigvalsh(rho.matrix)
     assert np.sum(lam > 1e-9) == 2
 
-    prod = ke.random_product_pure(dims, 42)
+    prod = random_product_pure(dims, 42)
     assert ke.schmidt(prod).rank == 1
 
-    ent = ke.random_entangled_pure(dims, 0.1, 42)
+    ent = random_entangled_pure(dims, 0.1, 42)
     assert ke.schmidt(ent).coefficients.min() >= 0.1
 
     # at the feasibility limit the only admissible coefficients are equal
-    flat = ke.random_entangled_pure(ke.BipartiteDims(3, 3), 1 / np.sqrt(3), 42)
+    flat = random_entangled_pure(ke.BipartiteDims(3, 3), 1 / np.sqrt(3), 42)
     assert np.abs(ke.schmidt(flat).coefficients - 1 / np.sqrt(3)).max() < 1e-12
 
 
