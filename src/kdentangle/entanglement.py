@@ -132,17 +132,6 @@ def marginal_disturbance(state: BipartitePureState, basis_a) -> float:
 # trace-norm asymmetry lower bound
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _sign_patterns(d: int) -> np.ndarray:
-    """Vertices of the eigenvalue hypercube with the first sign fixed and the
-    trivial all-equal vertex dropped (its commutator vanishes), one per row;
-    built once per ``d`` and read-only."""
-    tails = list(itertools.product((1.0, -1.0), repeat=d - 1))[1:]
-    patterns = np.array([(1.0,) + tail for tail in tails])
-    patterns.setflags(write=False)
-    return patterns
-
-
 def _pattern_dim(dims: BipartiteDims, side: str) -> int:
     """Dimension of the searched side; ``BadSpec`` above ``PATTERN_CAP``."""
     if side not in ("A", "B"):
@@ -158,19 +147,25 @@ def _pattern_dim(dims: BipartiteDims, side: str) -> int:
 
 @functools.cache
 def _plus_sets(d: int) -> tuple:
-    """The outcomes signed ``+`` in each row of ``_sign_patterns(d)``."""
-    return tuple(tuple(np.flatnonzero(p > 0).tolist()) for p in _sign_patterns(d))
+    """The outcomes signed ``+`` at each vertex of the eigenvalue hypercube
+    with outcome 0 signed ``+``: the vertices in ``itertools.product`` order
+    of the other signs (``+`` first), the trivial all-plus vertex dropped
+    (its commutator vanishes). Built once per ``d``."""
+    tails = itertools.product((True, False), repeat=d - 1)
+    next(tails)
+    return tuple((0,) + tuple(i for i, plus in enumerate(tail, 1) if plus)
+                 for tail in tails)
 
 
-def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray, side: str) -> float:
-    """Exact supremum of ``||[X (x) I, rho]||_1 / 2`` over unit-operator-norm
-    Hermitian generators ``X`` with the given eigenbasis: the objective is
-    convex on the eigenvalue hypercube, so the supremum sits at a sign-pattern
-    vertex ``X = 2 P - I``, with ``P`` the projector onto the basis vectors
-    signed ``+``. There ``||[X, rho]||_1 / 2 = ||[P, rho]||_1``, so the value
-    is the largest ``commutator_trace_norm`` over the ``+`` sets, every vertex
-    in one call."""
-    norms = linalg.commutator_trace_norm(rho_mat, basis, dims, side,
+def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray) -> float:
+    """Exact supremum of ``||[X (x) I_B, rho]||_1 / 2`` over unit-operator-norm
+    Hermitian generators ``X`` on subsystem A with the given eigenbasis: the
+    objective is convex on the eigenvalue hypercube, so the supremum sits at
+    a sign-pattern vertex ``X = 2 P - I``, with ``P`` the projector onto the
+    basis vectors signed ``+``. There ``||[X, rho]||_1 / 2 = ||[P, rho]||_1``,
+    so the value is the largest ``commutator_trace_norm`` over the ``+``
+    sets, every vertex in one call."""
+    norms = linalg.commutator_trace_norm(rho_mat, basis, dims,
                                          _plus_sets(basis.shape[0]))
     return float(np.maximum.reduce(norms))
 
@@ -181,16 +176,22 @@ ASYMMETRY_SEARCH = OptimizerConfig(restarts=8, max_iters=600)
 def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
                           config: OptimizerConfig = ASYMMETRY_SEARCH):
     """Extremal trace-norm asymmetry of the state relative to local Hermitian
-    generators: inner supremum exact by sign-pattern enumeration, outer
-    infimum over local bases by seeded multistart search, warm started at the
-    marginal eigenbasis as ``np.linalg.eigh`` returns it.
+    generators on ``side``: inner supremum exact by sign-pattern enumeration,
+    outer infimum over local bases by seeded multistart search, warm started
+    at the eigenbasis of ``rho.marginal(side)`` as ``np.linalg.eigh`` returns
+    it. Side B is searched as side A of the state with its subsystems
+    swapped, an exact index permutation to dims ``(dB, dA)``.
 
     Returns ``(value, basis, diagnostics)``.
     """
     _pattern_dim(rho.dims, side)
-    dims = rho.dims.as_tuple()
+    da, db = rho.dims.as_tuple()
+    mat = rho.matrix
+    if side == "B":
+        mat = mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, -1)
+        da, db = db, da
     return minimize_over_bases(
-        rho, lambda basis: _pattern_sup(rho.matrix, dims, basis, side), config, side)
+        rho.marginal(side), lambda basis: _pattern_sup(mat, (da, db), basis), config)
 
 
 def certified_lower(rho: DensityOperator) -> float:
@@ -273,18 +274,18 @@ def bounds_report(rho: DensityOperator,
 NONREALITY_SEARCH = OptimizerConfig(restarts=4, max_iters=400)
 
 
-def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREALITY_SEARCH,
-                         side: str = "A"):
+def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREALITY_SEARCH):
     """Numerically minimize the analytic per-basis nonreality supremum over
-    local bases. For pure states this reproduces the closed form, which the
-    warm start attains: the marginal eigenbasis as ``np.linalg.eigh`` returns
-    it (no column phase or order changes a projector).
+    local bases of subsystem A. For pure states this reproduces the closed
+    form, which the warm start attains: the eigenbasis of the A marginal as
+    ``np.linalg.eigh`` returns it (no column phase or order changes a
+    projector).
 
     Returns ``(value, basis, diagnostics)``.
     """
     dims = rho.dims.as_tuple()
     return minimize_over_bases(
-        rho, lambda basis: _max_nonreality_mat(rho.matrix, dims, basis, side), config, side)
+        rho.marginal("A"), lambda basis: _max_nonreality_mat(rho.matrix, dims, basis), config)
 
 
 def _marginal_entropy_functional(dims: BipartiteDims):

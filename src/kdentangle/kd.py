@@ -111,9 +111,8 @@ def _singletons(d: int) -> tuple:
     return tuple((x,) for x in range(d))
 
 
-def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray,
-                        side: str = "A") -> float:
-    norms = linalg.commutator_trace_norm(rho_mat, basis_a, dims, side,
+def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray) -> float:
+    norms = linalg.commutator_trace_norm(rho_mat, basis_a, dims,
                                          _singletons(basis_a.shape[0]))
     return float(np.add.reduce(norms)) / 2.0
 

@@ -45,15 +45,16 @@ def hermitian_trace_norm(h):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def commutator_trace_norm(rho, basis, dims, side, subsets) -> np.ndarray:
-    """``||[P_S (x) I, rho]||_1`` for each local outcome subset ``S`` of
+def commutator_trace_norm(rho, basis, dims, subsets) -> np.ndarray:
+    """``||[P_S (x) I_B, rho]||_1`` for each local outcome subset ``S`` of
     ``subsets`` (a tuple of index tuples), with ``P_S`` the projector onto
-    the columns ``S`` of the ``side`` basis ``basis``; ``(k,)`` out.
+    the columns ``S`` of the subsystem-A basis ``basis``; ``(k,)`` out. A
+    search over subsystem B runs on the state with its subsystems swapped.
 
     For a projector ``P`` and ``Q = 1 - P`` the commutator is
     ``P rho Q - Q rho P``, block off-diagonal, so for Hermitian ``rho`` its
     trace norm is ``2 ||P rho Q||_1``. ``rho`` is rotated once into the
-    product frame of ``basis``, where each ``P_S (x) I`` is a coordinate
+    product frame of ``basis``, where each ``P_S (x) I_B`` is a coordinate
     projector, and every block ``<S| rho |S^c>`` (shorter side first,
     zero-padded to one shape, which adds only zero singular values) goes
     through one stacked SVD. The block form assumes ``rho = rho^dag``: for a
@@ -64,26 +65,25 @@ def commutator_trace_norm(rho, basis, dims, side, subsets) -> np.ndarray:
     gets exact zeros, as the full commutator gives, and a search on it sees
     a flat objective rather than roundoff.
     """
-    u = embed_local(basis[None], dims, side)[0]
+    u = embed_local(basis[None], dims)[0]
     rotated = dagger(u).dot(rho - _maximally_mixed(rho.shape[0])).dot(u)
     padded = np.concatenate((rotated, _ZERO), axis=None)
-    blocks = padded[_block_plan(int(dims[0]), int(dims[1]), side, subsets)]
+    blocks = padded[_block_plan(int(dims[0]), int(dims[1]), subsets)]
     return 2.0 * np.add.reduce(np.linalg.svd(blocks, compute_uv=False), -1)
 
 
 @functools.cache
-def _block_plan(da: int, db: int, side: str, subsets) -> np.ndarray:
+def _block_plan(da: int, db: int, subsets) -> np.ndarray:
     """Read-only ``(k, r, c)`` flat indices into the ``(da*db) x (da*db)``
     matrix ``m`` flattened with ``_ZERO`` appended, that lay out each block
-    ``m[<S|, |S^c>]`` with its shorter side first; the padding points at the
-    appended zero. Built once per ``(da, db, side, subsets)``."""
+    ``m[<S|, |S^c>]``, ``S`` a set of subsystem-A outcomes, with its shorter
+    side first; the padding points at the appended zero. Built once per
+    ``(da, db, subsets)``."""
     n = da * db
     local = np.arange(n).reshape(da, db)
-    if side == "B":
-        local = local.T
     flats = []
     for s in subsets:
-        inside = np.zeros(local.shape[0], dtype=bool)
+        inside = np.zeros(da, dtype=bool)
         inside[list(s)] = True
         rows, cols = local[inside].ravel(), local[~inside].ravel()
         flat = rows[:, None] * n + cols[None, :]
@@ -112,30 +112,24 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def embed_local(ops, dims, side: str = "A") -> np.ndarray:
-    """Full operators ``X_k (x) I_B`` (``side="A"``) or ``I_A (x) X_k``
-    (``side="B"``) for a stack ``ops`` of local operators ``(k, d, d)``.
+def embed_local(ops, dims) -> np.ndarray:
+    """Full operators ``X_k (x) I_B`` for a stack ``ops`` of subsystem-A
+    operators ``(k, da, da)``.
 
     ``dims`` is ``(da, db)`` with the composite index ``i = i_a * db + i_b``;
     the result has shape ``(k, da*db, da*db)``. Entries are the same products
     ``np.kron`` forms, taken by broadcasting over the whole stack.
     """
     da, db = int(dims[0]), int(dims[1])
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
     ops = np.asarray(ops)
-    d = da if side == "A" else db
-    if ops.ndim != 3 or ops.shape[1:] != (d, d):
+    if ops.ndim != 3 or ops.shape[1:] != (da, da):
         raise DimensionMismatch(
-            f"operator stack shape {ops.shape} incompatible with side {side} "
+            f"operator stack shape {ops.shape} incompatible with subsystem A "
             f"of dims ({da}, {db})"
         )
-    # out[k, a, b, a', b'] = ops[k, a, a'] * I[b, b'] or I[a, a'] * ops[k, b, b'];
-    # the operand order is np.kron's, so signed zeros come out the same
-    if side == "A":
-        out = ops[:, :, None, :, None] * _identity(db)[:, None, :]
-    else:
-        out = _identity(da)[:, None, :, None] * ops[:, None, :, None, :]
+    # out[k, a, b, a', b'] = ops[k, a, a'] * I[b, b']; the operand order is
+    # np.kron's, so signed zeros come out the same
+    out = ops[:, :, None, :, None] * _identity(db)[:, None, :]
     return out.reshape(ops.shape[0], da * db, da * db)
 
 

@@ -268,17 +268,17 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig):
     return value, rotated(ref, angles), diag
 
 
-def minimize_over_bases(rho, objective, config: OptimizerConfig, side: str = "A"):
-    """Minimize ``objective(basis)`` over orthonormal bases of ``side`` of
-    ``rho``; a side other than ``"A"`` or ``"B"`` raises ``ValueError``
-    before any start runs.
+def minimize_over_bases(marginal, objective, config: OptimizerConfig):
+    """Minimize ``objective(basis)`` over orthonormal bases of the subsystem
+    whose density matrix is ``marginal``.
 
-    The starts are ``identity``, ``warm`` (rotations of the marginal
-    eigenbasis as ``np.linalg.eigh`` returns it), then the seeded restarts.
+    The starts are ``identity``, ``warm`` (rotations of the eigenbasis of
+    ``marginal`` as ``np.linalg.eigh`` returns it), then the seeded restarts.
     Returns ``(value, basis, diagnostics)``.
 
     The result never exceeds the objective at the identity basis or at the
-    warm basis, and is bit-reproducible for a fixed state and config.
+    warm basis, and is bit-reproducible for a fixed marginal, objective and
+    config.
     """
-    warm = np.linalg.eigh(rho.marginal(side))[1]
+    warm = np.linalg.eigh(marginal)[1]
     return _multistart(objective, warm.shape[0], {"identity": None, "warm": warm}, config)

@@ -231,10 +231,10 @@ def test_searches_run_with_the_library_presets(argv, module, name, preset, resta
 
 
 def test_bounds_rejects_side_above_pattern_cap(monkeypatch, capsys):
-    def no_patterns(d):
-        raise AssertionError(f"sign patterns built for d={d}")
+    def no_plus_sets(d):
+        raise AssertionError(f"+ sets built for d={d}")
 
-    monkeypatch.setattr(entanglement, "_sign_patterns", no_patterns)
+    monkeypatch.setattr(entanglement, "_plus_sets", no_plus_sets)
     assert cli.main(["bounds", "--builtin", "product", "--dims", "2x32"]) == 2
     assert "above the sign-pattern cap" in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ def test_trace_norm_examples():
     comm = proj @ rho - rho @ proj
     assert abs(linalg.trace_norm(comm) - 2 * np.sqrt(0.25)) < 1e-12
     # the same projector as the outcome subset {0} of the computational basis
-    norms = linalg.commutator_trace_norm(rho, np.eye(2), (2, 2), "A", ((0,),))
+    norms = linalg.commutator_trace_norm(rho, np.eye(2), (2, 2), ((0,),))
     assert norms.shape == (1,)
     assert abs(norms[0] - 1.0) < 1e-12
 
@@ -73,21 +75,19 @@ def test_partial_trace():
        seed=st.integers(0, 2**32 - 1))
 def test_embed_local_matches_kron(da, db, k, seed):
     rng = np.random.default_rng(seed)
-    for side, d in (("A", da), ("B", db)):
-        ops = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-        ops[:, 0, :] *= -0.0  # signed zeros must come out as np.kron's
-        full = linalg.embed_local(ops, (da, db), side)
-        assert full.shape == (k, da * db, da * db)
-        for op, out in zip(ops, full, strict=True):
-            ref = np.kron(op, np.eye(db)) if side == "A" else np.kron(np.eye(da), op)
-            assert out.tobytes() == ref.tobytes()
+    ops = rng.standard_normal((k, da, da)) + 1j * rng.standard_normal((k, da, da))
+    ops[:, 0, :] *= -0.0  # signed zeros must come out as np.kron's
+    full = linalg.embed_local(ops, (da, db))
+    assert full.shape == (k, da * db, da * db)
+    for op, out in zip(ops, full, strict=True):
+        assert out.tobytes() == np.kron(op, np.eye(db)).tobytes()
 
 
 def test_embed_local_rejects_bad_stack():
-    with pytest.raises(DimensionMismatch):
-        linalg.embed_local(np.zeros((1, 3, 3)), (2, 3), "A")
-    with pytest.raises(ValueError):
-        linalg.embed_local(np.zeros((1, 2, 2)), (2, 3), "C")
+    # a stack sized for subsystem B, and a single operator without its stack axis
+    for ops in (np.zeros((1, 3, 3)), np.zeros((2, 2))):
+        with pytest.raises(DimensionMismatch):
+            linalg.embed_local(ops, (2, 3))
 
 
 @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
@@ -105,21 +105,26 @@ def test_binary_measurement_is_the_explicit_sum(da, db):
             assert out.tobytes() == (p @ rho @ p + q @ rho @ q).tobytes()
 
 
-def dense_commutator_norms(rho, basis, dims, side, subsets):
-    """Reference: ``||[X, rho]||_1`` with ``X = embed_local(P_S)`` formed in
-    full, from the eigenvalues of the Hermitian ``i [X, rho]``."""
+def dense_commutator_norms(rho, basis, dims, subsets):
+    """Reference: ``||[X, rho]||_1`` with ``X = P_S (x) I_B`` formed in full
+    by ``np.kron``, from the eigenvalues of the Hermitian ``i [X, rho]``."""
     norms = []
     for s in subsets:
         cols = basis[:, list(s)]
-        x = linalg.embed_local((cols @ linalg.dagger(cols))[None], dims, side)[0]
+        x = np.kron(cols @ linalg.dagger(cols), np.eye(dims[1]))
         norms.append(linalg.hermitian_trace_norm(1j * (x @ rho - rho @ x)))
     return np.array(norms)
 
 
 def local_subsets(d):
-    """The singletons, then the ``+`` set of every sign pattern."""
+    """The singletons, then the ``+`` set of every sign pattern: the
+    ``2^(d-1) - 1`` distinct proper subsets of the outcomes that contain
+    outcome 0."""
     plus = entanglement._plus_sets(d)
-    assert plus == tuple(tuple(np.flatnonzero(p > 0)) for p in entanglement._sign_patterns(d))
+    proper = {(0,) + rest for r in range(d - 1)
+              for rest in itertools.combinations(range(1, d), r)}
+    assert len(plus) == 2 ** (d - 1) - 1
+    assert set(plus) == proper
     return kd._singletons(d) + plus
 
 
@@ -128,15 +133,14 @@ def local_subsets(d):
 def test_commutator_trace_norm_matches_dense_route(da, db):
     rng = np.random.default_rng([da, db, 26])
     dims = BipartiteDims(da, db)
-    for side, d in (("A", da), ("B", db)):
-        subsets = local_subsets(d)
-        for rank in range(1, dims.total + 1):
-            rho = random_mixed(dims, rank, rng).matrix
-            basis = haar_unitary(d, rng)
-            got = linalg.commutator_trace_norm(rho, basis, (da, db), side, subsets)
-            ref = dense_commutator_norms(rho, basis, (da, db), side, subsets)
-            assert got.shape == (len(subsets),)
-            assert np.abs(got - ref).max() <= 1e-12
+    subsets = local_subsets(da)
+    for rank in range(1, dims.total + 1):
+        rho = random_mixed(dims, rank, rng).matrix
+        basis = haar_unitary(da, rng)
+        got = linalg.commutator_trace_norm(rho, basis, (da, db), subsets)
+        ref = dense_commutator_norms(rho, basis, (da, db), subsets)
+        assert got.shape == (len(subsets),)
+        assert np.abs(got - ref).max() <= 1e-12
 
 
 def test_commutator_trace_norm_on_near_hermitian_states():
@@ -148,21 +152,19 @@ def test_commutator_trace_norm_on_near_hermitian_states():
     for _ in range(20):
         upper = np.triu(np.where(rng.random((9, 9)) < 0.5, 4.9e-11, -4.9e-11), 1)
         rho = DensityOperator(dims, random_mixed(dims, 3, rng).matrix + upper - upper.T).matrix
-        for side in ("A", "B"):
-            basis = haar_unitary(3, rng)
-            subsets = local_subsets(3)
-            got = linalg.commutator_trace_norm(rho, basis, (3, 3), side, subsets)
-            ref = dense_commutator_norms(rho, basis, (3, 3), side, subsets)
-            assert np.abs(got - ref).max() <= 1e-9
+        basis = haar_unitary(3, rng)
+        subsets = local_subsets(3)
+        got = linalg.commutator_trace_norm(rho, basis, (3, 3), subsets)
+        ref = dense_commutator_norms(rho, basis, (3, 3), subsets)
+        assert np.abs(got - ref).max() <= 1e-9
 
 
-@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3)])
 def test_commutator_trace_norm_is_exactly_zero_on_the_maximally_mixed_state(da, db):
     # the full commutator with I/N is exactly 0; the block form must not turn
     # it into rotation roundoff, which a basis search would chase
     rng = np.random.default_rng([da, db])
     rho = np.eye(da * db) / (da * db) + 0j
-    for side, d in (("A", da), ("B", db)):
-        norms = linalg.commutator_trace_norm(rho, haar_unitary(d, rng), (da, db), side,
-                                             local_subsets(d))
-        assert not norms.any()
+    norms = linalg.commutator_trace_norm(rho, haar_unitary(da, rng), (da, db),
+                                         local_subsets(da))
+    assert not norms.any()

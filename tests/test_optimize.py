@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kdentangle as ke
-from kdentangle import entanglement, linalg, optimize, weakvalue
+from kdentangle import entanglement, kd, linalg, optimize, weakvalue
 from kdentangle.entanglement import ROOF_CAP
 from kdentangle.errors import BadParamCount, BadSpec
 from kdentangle.optimize import angle_count
@@ -28,6 +28,24 @@ def test_optimize_imports_only_errors_from_the_package():
             imported.update(alias.name for alias in node.names
                             if alias.name.split(".")[0] == "kdentangle")
     assert imported == {"errors"}
+
+
+def test_side_is_chosen_only_at_the_asymmetry_entry():
+    # which subsystem a search runs on is decided once: a side-B search is the
+    # side-A search of the swapped state, so no layer below takes a side
+    allowed = {("entanglement", "asymmetry_lower_bound"), ("entanglement", "_pattern_dim")}
+    found = set()
+    for module in (linalg, kd, optimize, entanglement):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg) if a is not None]
+                if "side" in names:
+                    found.add((module.__name__.rsplit(".", 1)[1],
+                               getattr(node, "name", "<lambda>")))
+    assert found == allowed
 
 
 def test_materialize_identity():
@@ -158,14 +176,14 @@ def test_minimize_over_bases_bell():
     # the marginal is maximally mixed, so the objective is flat at 1
     rho = ke.bell_state().density()
     cfg = ke.OptimizerConfig(restarts=3, max_iters=200, seed=0)
-    value, _, _ = ke.minimize_over_bases(rho, objective_for(rho), cfg)
+    value, _, _ = ke.minimize_over_bases(rho.marginal("A"), objective_for(rho), cfg)
     assert abs(value - 1.0) < 1e-4
 
 
 def test_minimize_over_bases_product():
     rho = ke.product_state().density()
     cfg = ke.OptimizerConfig(restarts=4, max_iters=300, seed=0)
-    value, _, _ = ke.minimize_over_bases(rho, objective_for(rho), cfg)
+    value, _, _ = ke.minimize_over_bases(rho.marginal("A"), objective_for(rho), cfg)
     assert value < 1e-6
 
 
@@ -174,7 +192,7 @@ def test_minimize_over_bases_warm_start_attains():
     rho = ke.BipartitePureState(ke.BipartiteDims(2, 2), amps).density()
     cfg = ke.OptimizerConfig(restarts=2, max_iters=200, seed=0)
     obj = objective_for(rho)
-    value, _, _ = ke.minimize_over_bases(rho, obj, cfg)
+    value, _, _ = ke.minimize_over_bases(rho.marginal("A"), obj, cfg)
     assert abs(value - np.sqrt(3) / 2) < 1e-4
     # never worse than the identity basis or the warm start
     eigvecs = np.linalg.eigh(rho.marginal("A"))[1]
@@ -192,8 +210,8 @@ def test_restart_monotonicity_nested_seeds():
     obj = objective_for(rho)
     few = ke.OptimizerConfig(restarts=8, max_iters=120, seed=4)
     many = ke.OptimizerConfig(restarts=32, max_iters=120, seed=4)
-    v_few, _, _ = ke.minimize_over_bases(rho, obj, few)
-    v_many, _, _ = ke.minimize_over_bases(rho, obj, many)
+    v_few, _, _ = ke.minimize_over_bases(rho.marginal("A"), obj, few)
+    v_many, _, _ = ke.minimize_over_bases(rho.marginal("A"), obj, many)
     assert v_many <= v_few + 1e-15
 
 
@@ -201,8 +219,8 @@ def test_seeded_determinism():
     rho = ke.random_mixed(ke.BipartiteDims(2, 3), 2, 5)
     obj = objective_for(rho)
     cfg = ke.OptimizerConfig(restarts=4, max_iters=150, seed=11)
-    v1, b1, d1 = ke.minimize_over_bases(rho, obj, cfg)
-    v2, b2, d2 = ke.minimize_over_bases(rho, obj, cfg)
+    v1, b1, d1 = ke.minimize_over_bases(rho.marginal("A"), obj, cfg)
+    v2, b2, d2 = ke.minimize_over_bases(rho.marginal("A"), obj, cfg)
     assert v1 == v2
     assert d1 == d2
     assert np.array_equal(b1, b2)
@@ -216,7 +234,7 @@ def test_search_returns_the_basis_it_scored():
     for seed in range(6):
         rho = ke.random_mixed(ke.BipartiteDims(2, 3), 2, seed)
         obj = objective_for(rho)
-        value, basis, diag = ke.minimize_over_bases(rho, obj, cfg)
+        value, basis, diag = ke.minimize_over_bases(rho.marginal("A"), obj, cfg)
         assert obj(basis) == value
         winners.add(diag.best_start)
     assert {"identity", "warm"} <= winners
@@ -233,12 +251,12 @@ def _reject_bad_side(search, state, monkeypatch):
         search(rho, side="C")
 
 
-@pytest.mark.parametrize("search", [ke.minimized_nonreality, ke.asymmetry_lower_bound])
+@pytest.mark.parametrize("search", [ke.asymmetry_lower_bound])
 def test_bad_side_rejected_before_any_start(search, monkeypatch):
     _reject_bad_side(search, ke.bell_state(), monkeypatch)
 
 
-@pytest.mark.parametrize("search", [ke.minimized_nonreality, ke.asymmetry_lower_bound])
+@pytest.mark.parametrize("search", [ke.asymmetry_lower_bound])
 def test_bad_side_rejected_before_sign_pattern_cap(search, monkeypatch):
     # side B above the sign-pattern cap: the side is checked before the cap
     _reject_bad_side(search, ke.product_state(ke.BipartiteDims(2, 11)), monkeypatch)
