@@ -173,6 +173,13 @@ def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray) -> float:
 ASYMMETRY_SEARCH = OptimizerConfig(restarts=8, max_iters=600)
 
 
+def _swapped_matrix(rho: DensityOperator) -> np.ndarray:
+    """The state's matrix with its subsystems exchanged, an exact index
+    permutation to dims ``(dB, dA)``."""
+    da, db = rho.dims.as_tuple()
+    return rho.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, -1)
+
+
 def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
                           config: OptimizerConfig = ASYMMETRY_SEARCH):
     """Extremal trace-norm asymmetry of the state relative to local Hermitian
@@ -180,7 +187,7 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     outer infimum over local bases by seeded multistart search, warm started
     at the eigenbasis of ``rho.marginal(side)`` as ``np.linalg.eigh`` returns
     it. Side B is searched as side A of the state with its subsystems
-    swapped, an exact index permutation to dims ``(dB, dA)``.
+    swapped (``_swapped_matrix``).
 
     Returns ``(value, basis, diagnostics)``.
     """
@@ -188,8 +195,7 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     da, db = rho.dims.as_tuple()
     mat = rho.matrix
     if side == "B":
-        mat = mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, -1)
-        da, db = db, da
+        mat, da, db = _swapped_matrix(rho), db, da
     return minimize_over_bases(
         rho.marginal(side), lambda basis: _pattern_sup(mat, (da, db), basis), config)
 
@@ -250,11 +256,22 @@ def bounds_report(rho: DensityOperator,
                   config: OptimizerConfig = ASYMMETRY_SEARCH) -> BoundsReport:
     """Both-sided lower (extremal asymmetry) and upper (marginal nonreality
     entropy) bounds, the tighter pair being the max/min across the two sides,
-    and the certified floor of the convex roof."""
+    and the certified floor of the convex roof.
+
+    A state whose dims are equal, and whose swapped matrix and B marginal
+    equal the matrix and the A marginal bit for bit, as on ``bell``,
+    ``werner:p`` and ``isotropic:d:F``, would hand the side-B search the
+    side-A search's arguments, so it is searched once and side B takes side
+    A's value."""
     for side in ("A", "B"):
         _pattern_dim(rho.dims, side)
     lower, _, _ = asymmetry_lower_bound(rho, "A", config)
-    lower_b, _, _ = asymmetry_lower_bound(rho, "B", config)
+    if (rho.dims.da == rho.dims.db
+            and _swapped_matrix(rho).tobytes() == rho.matrix.tobytes()
+            and rho.marginal("B").tobytes() == rho.marginal("A").tobytes()):
+        lower_b = lower
+    else:
+        lower_b, _, _ = asymmetry_lower_bound(rho, "B", config)
     upper = nonreality_entropy(rho.marginal("A"))
     upper_b = nonreality_entropy(rho.marginal("B"))
     best_lower, best_upper = max(lower, lower_b), min(upper, upper_b)
@@ -364,7 +381,11 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     ``_multistart`` minimizes. Its ``identity`` start is the
     eigendecomposition, so the result never exceeds that average. A state of
     rank 1 has no other decomposition and is not searched: 0 iterations,
-    ``best_start`` ``identity`` and ``converged`` true.
+    ``best_start`` ``identity`` and ``converged`` true. Nor is a state whose
+    eigendecomposition average is within ``OptimizerConfig.tol`` of
+    ``certified_lower``, which certifies it optimal (the antisymmetric states;
+    a separable state whose eigenvectors are product states): the driver
+    returns that start point, with the same diagnostics, before any descent.
 
     The default size is ``min(2 * rank, ROOF_CAP)``: the search over the
     ``terms * (terms - 1)`` rotation angles stops converging within the
@@ -404,11 +425,12 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     def cost(u):
         return float(np.add.reduce(functional(u[:, :rank] @ rows)))
 
+    floor = certified_lower(rho)
     if rank == 1:
         u = np.eye(k_terms)
         value, diag = cost(u), SearchDiagnostics(config.restarts, "identity", 0, True)
     else:
-        value, u, diag = _multistart(cost, k_terms, {"identity": None}, config)
+        value, u, diag = _multistart(cost, k_terms, {"identity": None}, config, floor)
 
     psi = u[:, :rank] @ rows
     p = (psi.real**2 + psi.imag**2).sum(axis=1)
@@ -430,7 +452,6 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
             f"convex-roof value {value!r} exceeds the marginal-entropy "
             f"bound {upper!r} beyond slack {slack:g}"
         )
-    floor = certified_lower(rho)
     if value < floor - slack:
         raise OptimizerFailed(
             f"convex-roof value {value!r} is below the certified floor "

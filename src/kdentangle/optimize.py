@@ -228,7 +228,8 @@ def _scipy_minimize(fun, x0, max_iters) -> SimplexResult:
     return SimplexResult(sim[0], float(fsim.min()), nit, nfev, nit < max_iters)
 
 
-def _multistart(cost, dim: int, references, config: OptimizerConfig):
+def _multistart(cost, dim: int, references, config: OptimizerConfig,
+                floor: float = -np.inf):
     """Seeded multistart simplex descent of ``cost``, a float function of a
     ``dim x dim`` unitary. ``references`` maps each named start's label, in
     order, to its reference unitary (``None`` for the identity); the start
@@ -237,6 +238,10 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig):
     descent begins, follow with no reference. Each start point competes with
     its descent result, so the value never exceeds the cost at any start
     point; ties break toward the lexicographically smallest angle vector.
+    ``floor`` is a certified lower bound on the cost: when the first start
+    point costs within ``config.tol`` of it, that point is the answer and no
+    descent runs (0 iterations, converged). Each start point is scored once,
+    before its descent, so the skip costs no evaluation.
     Returns ``(value, unitary, diagnostics)``, the unitary the one scored.
     """
     def rotated(ref, angles):
@@ -256,10 +261,14 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig):
     for label, ref, x0 in itertools.chain(named, restarts):
         def objective(a, ref=ref):
             return cost(rotated(ref, a))
+        start_value = float(objective(x0))
+        if best is None and start_value <= floor + config.tol:
+            return start_value, rotated(ref, x0), SearchDiagnostics(
+                config.restarts, label, 0, True)
         res = _scipy_minimize(objective, x0, max_iters=config.max_iters)
         iterations += int(res.nit)
         converged = converged or bool(res.success)
-        for val, vec in ((float(res.fun), np.asarray(res.x)), (float(objective(x0)), x0)):
+        for val, vec in ((float(res.fun), np.asarray(res.x)), (start_value, x0)):
             key = (val, tuple(vec))
             if best is None or key < best[0]:
                 best = (key, vec, label, ref)
@@ -274,11 +283,17 @@ def minimize_over_bases(marginal, objective, config: OptimizerConfig):
 
     The starts are ``identity``, ``warm`` (rotations of the eigenbasis of
     ``marginal`` as ``np.linalg.eigh`` returns it), then the seeded restarts.
-    Returns ``(value, basis, diagnostics)``.
+    A warm basis equal to the identity bit for bit, as ``eigh`` returns for a
+    maximally mixed marginal, would repeat the identity start's descent, so
+    that search has no ``warm`` start; a tie goes to the earlier start, so
+    the result is the same. Returns ``(value, basis, diagnostics)``.
 
     The result never exceeds the objective at the identity basis or at the
     warm basis, and is bit-reproducible for a fixed marginal, objective and
     config.
     """
     warm = np.linalg.eigh(marginal)[1]
-    return _multistart(objective, warm.shape[0], {"identity": None, "warm": warm}, config)
+    references = {"identity": None}
+    if warm.tobytes() != np.eye(len(warm), dtype=warm.dtype).tobytes():
+        references["warm"] = warm
+    return _multistart(objective, len(warm), references, config)

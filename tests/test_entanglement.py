@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdentangle as ke
-from kdentangle import entanglement, linalg
+from kdentangle import entanglement, linalg, optimize
 from kdentangle.errors import DimensionMismatch, NotPSD, OptimizerFailed
+from kdentangle.states import as_density
 from samplers import random_product_pure
 
 EYE2 = np.eye(2, dtype=complex)
@@ -201,6 +202,50 @@ def test_side_b_matches_swapped_state():
             assert diag_b == diag_a
 
 
+def counted_starts(monkeypatch):
+    """A one-item list counting the simplex descents run from now on."""
+    ours = optimize._scipy_minimize
+    starts = [0]
+
+    def count(*args, **kwargs):
+        starts[0] += 1
+        return ours(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", count)
+    return starts
+
+
+@pytest.mark.parametrize("spec", ["werner:0.0", "werner:0.5", "bell",
+                                  "isotropic:3:0.7", "max-entangled:3"])
+def test_bounds_report_searches_a_swap_invariant_state_once(spec, monkeypatch):
+    # the swapped matrix and the B marginal equal side A's bit for bit, so the
+    # side-B search would repeat the side-A search: the report runs one side's
+    rho = as_density(ke.make_state(spec))
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=200, seed=1)
+    starts = counted_starts(monkeypatch)
+    lower, _, _ = ke.asymmetry_lower_bound(rho, "A", cfg)
+    lower_b, _, _ = ke.asymmetry_lower_bound(rho, "B", cfg)
+    one_side = starts[0] // 2
+    starts[0] = 0
+    report = ke.bounds_report(rho, cfg)
+    assert starts[0] == one_side
+    assert (report.lower, report.lower_swapped) == (lower, lower_b)
+    assert report.best_lower == max(lower, lower_b)
+
+
+def test_bounds_report_searches_both_sides_of_other_states(monkeypatch):
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=100, seed=1)
+    starts = counted_starts(monkeypatch)
+    for dims, seed in (((2, 2), 11), ((2, 3), 12)):
+        rho = ke.random_mixed(ke.BipartiteDims(*dims), 2, seed)
+        starts[0] = 0
+        report = ke.bounds_report(rho, cfg)
+        # identity, warm and one restart on each side
+        assert starts[0] == 6
+        assert report.lower == ke.asymmetry_lower_bound(rho, "A", cfg)[0]
+        assert report.lower_swapped == ke.asymmetry_lower_bound(rho, "B", cfg)[0]
+
+
 def test_pattern_sup_is_max_nonreality_on_a_qubit_side():
     # on a 2-dimensional side the one sign pattern is 2 P_0 - I, and
     # P_1 = I - P_0 gives the same commutator norm, so the two objectives agree
@@ -275,18 +320,49 @@ def test_antisymmetric_pure_states_score_one():
 
 
 @pytest.mark.parametrize("rank", [2, 3])
-def test_antisymmetric_mixed_states_have_roof_one(rank):
+def test_antisymmetric_mixed_states_have_roof_one(rank, monkeypatch):
     # the swap floor -Tr(F rho) = 1 meets every decomposition's value 1, so the
     # roof and the certified floor are both exactly 1; the partial-transpose
-    # floor alone reads about 0.3
+    # floor alone reads about 0.3. The eigendecomposition already sits on the
+    # floor, so even the default budget (33 starts of 2000 iterations) runs no
+    # descent
+    def no_search(*args, **kwargs):
+        raise AssertionError("a roof on its certified floor searched")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_search)
     rng = np.random.default_rng(rank)
     weights = rng.dirichlet(np.ones(rank))
     rows = antisymmetric_vectors(rank, rank)
     rho = ke.DensityOperator(ke.BipartiteDims(3, 3),
                              (rows.T * weights) @ rows.conj())
-    roof = ke.mixed_entanglement(rho, ke.OptimizerConfig(restarts=1, max_iters=50))
+    roof = ke.mixed_entanglement(rho)
     assert abs(roof.value - 1.0) <= 1e-12
     assert abs(ke.certified_lower(rho) - 1.0) <= 1e-12
+    assert roof.diagnostics == ke.SearchDiagnostics(32, "identity", 0, True)
+    assert roof.terms == 2 * rank
+
+
+def test_roofs_above_their_floor_are_searched(monkeypatch):
+    # the certified skip needs the eigendecomposition within tol of the floor:
+    # neither the mixed Werner states of the roof suite, separable or not, nor
+    # the first random rank-2 mixtures of prop5 have that
+    searched = []
+    search = entanglement._multistart
+
+    def record(cost, dim, references, config, floor):
+        searched.append(floor)
+        return search(cost, dim, references, config, floor)
+
+    monkeypatch.setattr(entanglement, "_multistart", record)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=20)
+    inputs = [ke.werner_state(p) for p in (0.2, 0.4, 0.5, 0.6, 0.8)]
+    inputs += [ke.random_mixed(ke.BipartiteDims(2, 2 + k % 2), 2,
+                               np.random.default_rng([0, 36, k])) for k in range(6)]
+    for rho in inputs:
+        del searched[:]
+        roof = ke.mixed_entanglement(rho, cfg)
+        assert searched == [roof.certified_lower]
+        assert roof.diagnostics.iterations > 0
 
 
 def haar_instrument(d, outcomes, seed):

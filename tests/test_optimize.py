@@ -10,6 +10,7 @@ from kdentangle import entanglement, kd, linalg, optimize, weakvalue
 from kdentangle.entanglement import ROOF_CAP
 from kdentangle.errors import BadParamCount, BadSpec
 from kdentangle.optimize import angle_count
+from kdentangle.states import as_density
 
 
 def test_optimize_imports_only_errors_from_the_package():
@@ -241,6 +242,74 @@ def test_search_returns_the_basis_it_scored():
     assert any(label.startswith("restart") for label in winners)
 
 
+def recorded_starts(monkeypatch):
+    """Every simplex descent run from now on, in order."""
+    ours = optimize._scipy_minimize
+    runs = []
+
+    def record(fun, x0, max_iters):
+        runs.append(ours(fun, x0, max_iters))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", record)
+    return runs
+
+
+def package_searches(spec):
+    """(marginal, objective) of the package's basis searches on a builtin:
+    the asymmetry search on each side, the nonreality search and, on a pure
+    state, the weak-value search."""
+    state = ke.make_state(spec)
+    rho = as_density(state)
+    dims = rho.dims.as_tuple()
+    swapped = entanglement._swapped_matrix(rho)
+    searches = [
+        (rho.marginal("A"), lambda b: entanglement._pattern_sup(rho.matrix, dims, b)),
+        (rho.marginal("B"), lambda b: entanglement._pattern_sup(swapped, dims[::-1], b)),
+        (rho.marginal("A"), objective_for(rho)),
+    ]
+    if state is not rho:
+        searches.append((rho.marginal("A"), lambda b: weakvalue.sampled_max_nonreality(
+            rho.matrix, dims, b, 1000, 0)))
+    return searches
+
+
+@pytest.mark.parametrize("spec", ["werner:0.0", "werner:0.5", "bell",
+                                  "isotropic:3:0.7", "max-entangled:3"])
+def test_identity_warm_basis_is_not_searched_twice(spec, monkeypatch):
+    # a maximally mixed marginal makes eigh return the identity: the search
+    # drops the warm start, and the parent's start list, kept here as the
+    # reference, shows that its descent repeated the identity's bit for bit
+    runs = recorded_starts(monkeypatch)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=200, seed=2)
+    for marginal, obj in package_searches(spec):
+        warm = np.linalg.eigh(marginal)[1]
+        references = {"identity": None, "warm": warm}
+        del runs[:]
+        ref_value, ref_basis, ref_diag = optimize._multistart(obj, len(warm), references, cfg)
+        identity, dropped, _ = runs
+        assert dropped.fun == identity.fun
+        assert dropped.x.tobytes() == identity.x.tobytes()
+        assert (dropped.nit, dropped.nfev) == (identity.nit, identity.nfev)
+        del runs[:]
+        value, basis, diag = ke.minimize_over_bases(marginal, obj, cfg)
+        assert len(runs) == 2
+        assert value == ref_value
+        assert basis.tobytes() == ref_basis.tobytes()
+        assert diag.best_start == ref_diag.best_start != "warm"
+        assert diag.iterations == ref_diag.iterations - dropped.nit
+
+
+def test_warm_start_kept_for_a_marginal_with_its_own_eigenbasis(monkeypatch):
+    runs = recorded_starts(monkeypatch)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=100, seed=0)
+    for dims, seed in (((2, 2), 8), ((2, 3), 9), ((3, 3), 10)):
+        rho = ke.random_mixed(ke.BipartiteDims(*dims), 2, seed)
+        del runs[:]
+        ke.minimize_over_bases(rho.marginal("A"), objective_for(rho), cfg)
+        assert len(runs) == 3
+
+
 def _reject_bad_side(search, state, monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("a start ran")
@@ -392,8 +461,10 @@ def test_nelder_mead_matches_scipy_on_package_searches(monkeypatch):
     entanglement.asymmetry_lower_bound(
         ke.random_mixed(ke.BipartiteDims(2, 3), 2, 6), "B", short)
     weakvalue.sampled_entanglement(ke.bell_state(), 10**4, short)
-    # two starts per roof, three per basis search
-    assert len(runs) == 2 * 3 + 3 * 3
+    # two starts per roof, three per basis search, except the Bell weak-value
+    # search: its maximally mixed marginal makes eigh return the identity, so
+    # it has no warm start
+    assert len(runs) == 2 * 3 + 3 * 3 - 1
     assert any(run.success for run in runs) and not all(run.success for run in runs)
 
 
