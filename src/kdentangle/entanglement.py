@@ -187,7 +187,9 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     outer infimum over local bases by seeded multistart search, warm started
     at the eigenbasis of ``rho.marginal(side)`` as ``np.linalg.eigh`` returns
     it. Side B is searched as side A of the state with its subsystems
-    swapped (``_swapped_matrix``).
+    swapped (``_swapped_matrix``). The objective is never below 0, so an
+    identity or warm basis that scores within ``config.tol`` of 0 is
+    returned with no descent.
 
     Returns ``(value, basis, diagnostics)``.
     """
@@ -196,8 +198,9 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     mat = rho.matrix
     if side == "B":
         mat, da, db = _swapped_matrix(rho), db, da
+    # floor 0: the objective is the largest of sums of singular values
     return minimize_over_bases(
-        rho.marginal(side), lambda basis: _pattern_sup(mat, (da, db), basis), config)
+        rho.marginal(side), lambda basis: _pattern_sup(mat, (da, db), basis), config, 0.0)
 
 
 def certified_lower(rho: DensityOperator) -> float:
@@ -296,13 +299,18 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREAL
     local bases of subsystem A. For pure states this reproduces the closed
     form, which the warm start attains: the eigenbasis of the A marginal as
     ``np.linalg.eigh`` returns it (no column phase or order changes a
-    projector).
+    projector). The objective is never below 0, so an identity or warm basis
+    that scores within ``config.tol`` of 0 is returned with no descent; the
+    pure-state closed form is not used as a floor, so the search is checked
+    against it rather than stopped by it.
 
     Returns ``(value, basis, diagnostics)``.
     """
     dims = rho.dims.as_tuple()
+    # floor 0: the objective is half a sum of singular values
     return minimize_over_bases(
-        rho.marginal("A"), lambda basis: _max_nonreality_mat(rho.matrix, dims, basis), config)
+        rho.marginal("A"), lambda basis: _max_nonreality_mat(rho.matrix, dims, basis),
+        config, 0.0)
 
 
 def _marginal_entropy_functional(dims: BipartiteDims):

@@ -42,7 +42,9 @@ class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 2000
     seed: int = 0
-    tol: ClassVar[float] = 1e-6  # fixed slack by which a result may pass an analytic bound
+    # fixed slack by which a result may pass an analytic bound; a named start
+    # point within it of a search's certified floor is returned undescended
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not 1 <= self.restarts <= RESTART_CAP:
@@ -60,7 +62,9 @@ class SearchDiagnostics:
     winning start and ``iterations`` sums the simplex iterations of all
     starts. ``converged`` means some start stopped on tolerance before the
     iteration cap, not that the optimum was found: a search whose answer is
-    exact to roundoff can read ``False``."""
+    exact to roundoff can read ``False``. A search that returns a start point
+    on its certified floor ran no descent: 0 iterations, ``converged``
+    ``True``."""
 
     restarts: int
     best_start: str
@@ -238,33 +242,42 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig,
     descent begins, follow with no reference. Each start point competes with
     its descent result, so the value never exceeds the cost at any start
     point; ties break toward the lexicographically smallest angle vector.
-    ``floor`` is a certified lower bound on the cost: when the first start
-    point costs within ``config.tol`` of it, that point is the answer and no
-    descent runs (0 iterations, converged). Each start point is scored once,
-    before its descent, so the skip costs no evaluation.
+
+    ``floor`` is a certified lower bound on the cost. The named start points
+    are scored in order before the first descent, and the first one that
+    costs within ``config.tol`` of ``floor`` is the answer: no descent runs
+    (0 iterations, converged). The descents reuse those scores, and each
+    restart point is scored just before its descent, so every start point is
+    scored exactly once and the skip costs no evaluation. The default
+    ``-inf`` never skips.
     Returns ``(value, unitary, diagnostics)``, the unitary the one scored.
     """
     def rotated(ref, angles):
         u = unitary_from_angles(angles, dim)
         return u if ref is None else ref.dot(u)
 
+    def scored(label, ref, x0):
+        return label, ref, x0, float(cost(rotated(ref, x0)))
+
     zero = np.zeros(angle_count(dim))
+    named = []
+    for label, ref in references.items():
+        start = scored(label, ref, zero)
+        if start[3] <= floor + config.tol:
+            return start[3], rotated(ref, zero), SearchDiagnostics(
+                config.restarts, label, 0, True)
+        named.append(start)
     restarts = (
-        (f"restart{i}", None,
-         np.random.default_rng([config.seed, i]).uniform(-np.pi, np.pi, zero.size))
+        scored(f"restart{i}", None,
+               np.random.default_rng([config.seed, i]).uniform(-np.pi, np.pi, zero.size))
         for i in range(config.restarts)
     )
-    named = ((label, ref, zero) for label, ref in references.items())
     best = None
     iterations = 0
     converged = False
-    for label, ref, x0 in itertools.chain(named, restarts):
+    for label, ref, x0, start_value in itertools.chain(named, restarts):
         def objective(a, ref=ref):
             return cost(rotated(ref, a))
-        start_value = float(objective(x0))
-        if best is None and start_value <= floor + config.tol:
-            return start_value, rotated(ref, x0), SearchDiagnostics(
-                config.restarts, label, 0, True)
         res = _scipy_minimize(objective, x0, max_iters=config.max_iters)
         iterations += int(res.nit)
         converged = converged or bool(res.success)
@@ -277,7 +290,8 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig,
     return value, rotated(ref, angles), diag
 
 
-def minimize_over_bases(marginal, objective, config: OptimizerConfig):
+def minimize_over_bases(marginal, objective, config: OptimizerConfig,
+                        floor: float = -np.inf):
     """Minimize ``objective(basis)`` over orthonormal bases of the subsystem
     whose density matrix is ``marginal``.
 
@@ -286,14 +300,18 @@ def minimize_over_bases(marginal, objective, config: OptimizerConfig):
     A warm basis equal to the identity bit for bit, as ``eigh`` returns for a
     maximally mixed marginal, would repeat the identity start's descent, so
     that search has no ``warm`` start; a tie goes to the earlier start, so
-    the result is the same. Returns ``(value, basis, diagnostics)``.
+    the result is the same. ``floor`` is a certified lower bound on the
+    objective: the first of the identity and warm bases that scores within
+    ``config.tol`` of it is returned and no descent runs (``_multistart``).
+    The default ``-inf`` searches any objective in full. Returns
+    ``(value, basis, diagnostics)``.
 
     The result never exceeds the objective at the identity basis or at the
-    warm basis, and is bit-reproducible for a fixed marginal, objective and
-    config.
+    warm basis, and is bit-reproducible for a fixed marginal, objective,
+    config and floor.
     """
     warm = np.linalg.eigh(marginal)[1]
     references = {"identity": None}
     if warm.tobytes() != np.eye(len(warm), dtype=warm.dtype).tobytes():
         references["warm"] = warm
-    return _multistart(objective, len(warm), references, config)
+    return _multistart(objective, len(warm), references, config, floor)

@@ -200,12 +200,15 @@ def sampled_entanglement(state: BipartitePureState, shots_per_cell: int,
     """Estimate the pure-state entanglement value from sampled statistics.
 
     The outer basis search runs classically on the sampled objective, warm
-    started at the eigenbasis of the A marginal from ``np.linalg.eigh``. Returns
+    started at the eigenbasis of the A marginal from ``np.linalg.eigh``. The
+    sampled objective is never below 0, so an identity or warm basis that
+    scores within ``config.tol`` of 0 is returned with no descent. Returns
     ``(value, basis, diagnostics)``.
     """
     if shots_per_cell < 1:
         raise BadSpec(f"shots_per_cell must be >= 1, got {shots_per_cell}")
     rho = state.density()
     dims = state.dims.as_tuple()
+    # floor 0: the objective is a cumulative sum of absolute values
     return minimize_over_bases(rho.marginal("A"), lambda basis: sampled_max_nonreality(
-        rho.matrix, dims, basis, shots_per_cell, config.seed), config)
+        rho.matrix, dims, basis, shots_per_cell, config.seed), config, 0.0)

@@ -66,29 +66,38 @@ def test_traced_searches_match_untraced():
 
 def test_spans_see_every_evaluation():
     # each search calls its kernel once per objective call, plus once per
-    # start for the driver's score of the start point, and builds one more
-    # unitary for the result; counts pinned on a 3x3 Haar state. The basis
-    # searches make no eigvalsh call; the roof run makes four: one to accept
-    # the Werner state, two for the marginal-entropy bounds, one for the floor
+    # start point the driver scores, and builds one more unitary for the
+    # result; counts pinned on a 3x3 Haar state. A search that descends
+    # scores each start once; a search whose identity or warm point scores
+    # within tol of its floor 0 scores the named points up to that one and
+    # descends from none. The basis searches make no eigvalsh call; the roof
+    # run makes four: one to accept the Werner state, two for the
+    # marginal-entropy bounds, one for the floor
     rho = ke.haar_pure(ke.BipartiteDims(3, 3), 3).density()
+    maximally_mixed = ke.werner_state(0.0)
+    rho_a = ke.random_mixed(ke.BipartiteDims(2, 2), 2, 5).marginal("A")
+    qubit_mixed = ke.DensityOperator(ke.BipartiteDims(2, 2), np.kron(rho_a, np.eye(2) / 2))
+    asymmetry = ("entanglement.pattern_sup", "linalg.commutator_trace_norm")
     searches = (
         (lambda: entanglement.minimized_nonreality(
             rho, ke.OptimizerConfig(restarts=2, max_iters=100)),
-         ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 684, 4, 0),
+         ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 684, 4, 4, 0),
         (lambda: entanglement.asymmetry_lower_bound(
             rho, "B", ke.OptimizerConfig(restarts=2, max_iters=100)),
-         ("entanglement.pattern_sup", "linalg.commutator_trace_norm"), 745, 4, 0),
+         asymmetry, 745, 4, 4, 0),
         (lambda: entanglement.mixed_entanglement(
             ke.werner_state(0.6), ke.OptimizerConfig(restarts=2, max_iters=200), terms=4),
-         ("entanglement.roof_functional",), 976, 3, 4),
+         ("entanglement.roof_functional",), 976, 3, 3, 4),
+        (lambda: entanglement.asymmetry_lower_bound(maximally_mixed, "A"), asymmetry, 0, 0, 1, 0),
+        (lambda: entanglement.asymmetry_lower_bound(qubit_mixed, "A"), asymmetry, 0, 0, 2, 0),
     )
-    for search, kernels, objective_calls, starts, eigvalsh_calls in searches:
+    for search, kernels, objective_calls, starts, scored, eigvalsh_calls in searches:
         tracer = tracer_module.Tracer()
         with tracer.installed():
             search()
         assert tracer.calls["optimize.nelder_mead"] == starts
         assert tracer.calls["optimize.objective"] == objective_calls
         for name in kernels:
-            assert tracer.calls[name] == objective_calls + starts
-        assert tracer.calls["optimize.unitary_from_angles"] == objective_calls + starts + 1
+            assert tracer.calls[name] == objective_calls + scored
+        assert tracer.calls["optimize.unitary_from_angles"] == objective_calls + scored + 1
         assert tracer.calls["linalg.eigvalsh"] == eigvalsh_calls

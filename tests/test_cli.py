@@ -260,6 +260,21 @@ def test_readme_bounds_report(capsys):
     ]
 
 
+@pytest.mark.parametrize("spec, upper", [("werner:0.0", 1.0), ("product", 0.0)])
+def test_zero_valued_bounds_run_no_descent(spec, upper, monkeypatch, capsys):
+    # both sides' asymmetry searches start on a basis that scores 0, their
+    # floor, so no descent runs; the report is the full search's
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_descent)
+    assert cli.main(["bounds", "--builtin", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [report[key] for key in ("lower", "upper", "lower_swapped", "upper_swapped",
+                                    "best_lower", "best_upper", "certified_lower")] == [
+        0.0, upper, 0.0, upper, 0.0, upper, 0.0]
+
+
 @pytest.mark.parametrize("delta", [4e-11, 9e-11])
 def test_bounds_near_pure_state(delta, tmp_path, capsys):
     # an accepted state whose A marginal has the eigenvalue delta, which the

@@ -246,6 +246,26 @@ def test_bounds_report_searches_both_sides_of_other_states(monkeypatch):
         assert report.lower_swapped == ke.asymmetry_lower_bound(rho, "B", cfg)[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+def test_bounds_report_of_a_product_state_runs_no_descent(dims, ranks, seed):
+    # rho_A (x) rho_B commutes with every projector of either marginal's
+    # eigenbasis, so each side's warm basis scores 0 to roundoff, within tol
+    # of the asymmetry's floor 0, and neither side descends
+    rng = np.random.default_rng(seed)
+    factors = []
+    for d, rank in zip(dims, ranks):
+        g = rng.standard_normal((d, min(rank, d))) + 1j * rng.standard_normal((d, min(rank, d)))
+        factors.append(g @ g.conj().T / np.vdot(g, g).real)
+    rho = ke.DensityOperator(ke.BipartiteDims(*dims), np.kron(*factors))
+    with pytest.MonkeyPatch.context() as patch:
+        starts = counted_starts(patch)
+        report = ke.bounds_report(rho)
+    assert starts[0] == 0
+    assert 0.0 <= report.lower <= 1e-12 and 0.0 <= report.lower_swapped <= 1e-12
+
+
 def test_pattern_sup_is_max_nonreality_on_a_qubit_side():
     # on a 2-dimensional side the one sign pattern is 2 P_0 - I, and
     # P_1 = I - P_0 gives the same commutator norm, so the two objectives agree

@@ -310,6 +310,111 @@ def test_warm_start_kept_for_a_marginal_with_its_own_eigenbasis(monkeypatch):
         assert len(runs) == 3
 
 
+# the package's basis searches, each as its caller runs it; all pass the floor 0
+ZERO_FLOOR_CALLERS = {
+    "asymmetry-A": lambda state, cfg: entanglement.asymmetry_lower_bound(
+        as_density(state), "A", cfg),
+    "asymmetry-B": lambda state, cfg: entanglement.asymmetry_lower_bound(
+        as_density(state), "B", cfg),
+    "nonreality": lambda state, cfg: entanglement.minimized_nonreality(as_density(state), cfg),
+    "sampled": lambda state, cfg: weakvalue.sampled_entanglement(state, 1000, cfg),
+}
+
+
+def searched_in_full(monkeypatch):
+    """Run the callers' basis searches with the floor ``-inf``, as
+    ``_multistart(..., floor=-inf)``; returns the floors the callers passed."""
+    floors = []
+
+    def full(marginal, objective, config, floor=-np.inf):
+        floors.append(floor)
+        return optimize.minimize_over_bases(marginal, objective, config)
+
+    for module in (entanglement, weakvalue):
+        monkeypatch.setattr(module, "minimize_over_bases", full)
+    return floors
+
+
+def zero_valued_state(spec):
+    """A builtin, or ``qubit-mixed:dB``: ``rho_A (x) I/dB`` with a random qubit
+    state ``rho_A``, which commutes with ``P (x) I`` for ``P`` a projector of
+    its eigenbasis and with every ``I (x) P``."""
+    if not spec.startswith("qubit-mixed:"):
+        return ke.make_state(spec)
+    db = int(spec.split(":")[1])
+    rng = np.random.default_rng(40 + db)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho_a = g @ g.conj().T
+    rho_a /= np.trace(rho_a).real
+    return ke.DensityOperator(ke.BipartiteDims(2, db), np.kron(rho_a, np.eye(db) / db))
+
+
+@pytest.mark.parametrize("caller, spec, start", [
+    ("asymmetry-A", "qubit-mixed:2", "warm"), ("asymmetry-B", "qubit-mixed:2", "identity"),
+    ("asymmetry-A", "qubit-mixed:3", "warm"), ("asymmetry-B", "qubit-mixed:3", "identity"),
+    ("asymmetry-A", "werner:0.0", "identity"), ("asymmetry-B", "product", "identity"),
+    ("nonreality", "product", "identity"), ("sampled", "product", "identity"),
+])
+def test_zero_valued_search_runs_no_descent(caller, spec, start, monkeypatch):
+    # every objective is >= 0, so a named start point scoring within tol of 0
+    # is a certified minimum: it is returned with no descent, within tol of
+    # what the full search finds. On qubit-mixed the identity basis of side A
+    # scores above 0, and its warm basis, the eigenbasis of rho_A, is returned
+    cfg = ke.OptimizerConfig(restarts=2, max_iters=300, seed=1)
+    search = ZERO_FLOOR_CALLERS[caller]
+    state = zero_valued_state(spec)
+    with monkeypatch.context() as full:
+        searched_in_full(full)
+        full_value, _, full_diag = search(state, cfg)
+    assert full_diag.iterations > 0
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(optimize, "_scipy_minimize", no_descent)
+    value, _, diag = search(state, cfg)
+    assert diag == ke.SearchDiagnostics(cfg.restarts, start, 0, True)
+    assert 0.0 <= value <= cfg.tol
+    assert abs(value - full_value) <= cfg.tol
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_zero_floor_leaves_positive_searches_unchanged(dims, monkeypatch):
+    # no start point of an entangled or rank-2 mixed state scores near 0, so
+    # the floor 0 every caller passes moves no value, basis or diagnostics
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=60, seed=3)
+    d = ke.BipartiteDims(*dims)
+    for state in (ke.haar_pure(d, 70), ke.haar_pure(d, 71),
+                  ke.random_mixed(d, 2, 80), ke.random_mixed(d, 2, 81)):
+        for caller, search in ZERO_FLOOR_CALLERS.items():
+            if caller == "sampled" and not isinstance(state, ke.BipartitePureState):
+                continue
+            with monkeypatch.context() as full:
+                floors = searched_in_full(full)
+                ref_value, ref_basis, ref_diag = search(state, cfg)
+            assert floors == [0.0]
+            value, basis, diag = search(state, cfg)
+            assert value == ref_value and diag == ref_diag
+            assert basis.tobytes() == ref_basis.tobytes()
+            assert diag.iterations > 0
+
+
+def test_minimize_over_bases_descends_by_default(monkeypatch):
+    # the default floor -inf certifies nothing, so a direct caller's search
+    # descends from every start even where a start point scores 0
+    rho = ke.product_state().density()
+    obj = objective_for(rho)
+    assert obj(np.eye(2, dtype=complex)) == 0.0
+    runs = recorded_starts(monkeypatch)
+    cfg = ke.OptimizerConfig(restarts=1, max_iters=100)
+    value, _, diag = ke.minimize_over_bases(rho.marginal("A"), obj, cfg)
+    assert len(runs) == 3 and diag.iterations > 0 and value == 0.0
+    del runs[:]
+    value, _, diag = ke.minimize_over_bases(rho.marginal("A"), obj, cfg, floor=0.0)
+    assert runs == [] and value == 0.0
+    assert diag == ke.SearchDiagnostics(1, "identity", 0, True)
+
+
 def _reject_bad_side(search, state, monkeypatch):
     def no_start(*args, **kwargs):
         raise AssertionError("a start ran")
