@@ -317,32 +317,44 @@ def _marginal_entropy_functional(dims: BipartiteDims):
     """Weighted pure-state value of a ``(k, N)`` stack of unnormalized rows,
     ``(k,)`` out: ``|psi|^2 E(psi / |psi|)`` for each row ``psi``, exactly 0
     for a zero row. The value is homogeneous of degree 2, so a convex-roof
-    objective is the plain sum over the rows ``sqrt(p_k) psi_k``.
+    objective is the plain sum over the rows ``sqrt(p_k) psi_k``. The branch
+    is chosen here, once for ``dims``, not on each call.
 
     With a 2-dimensional side the value is ``2 sqrt(D)``, where
     ``D = det(rho_2)`` of the unnormalized marginal; for a unit vector
     ``D = lam (1 - lam)`` with ``lam`` the smaller marginal eigenvalue.
     Cauchy-Binet gives ``D`` as the sum of the squared moduli of the 2x2
-    minors of the amplitude matrix, so nothing cancels; each minor is summed
-    twice, once from each side of the antisymmetric matrix
-    ``r0 r1^T - r1 r0^T``, and halved. ``D`` is snapped to 0 below
-    ``SNAP |psi|^4``, the eigenvalue snap rescaled. Larger marginals take the
-    squared singular values ``w`` of the amplitude matrix from one stacked
-    SVD, zero those below ``SNAP |psi|^2`` and sum
+    minors of the amplitude matrix, so nothing cancels. ``D`` is snapped to
+    0 below ``SNAP |psi|^4``, the eigenvalue snap rescaled. On 2x2 the one
+    minor of a row ``r`` is ``r0 r3 - r2 r1`` and ``D`` is its
+    ``re * re + im * im``, in that operand order: it gives the bits of the
+    form that 2xn and nx2 rows take, which sums each minor twice, once from
+    each side of the antisymmetric matrix ``r0 r1^T - r1 r0^T``, and halves
+    the sum.
+    Larger marginals take the squared singular values ``w`` of the amplitude
+    matrix from one stacked SVD, zero those below ``SNAP |psi|^2`` and sum
     ``sqrt(w_j (sum(w) - w_j))``, so a product row, left with one nonzero
     ``w``, gives exactly 0."""
     da, db = dims.da, dims.db
 
-    def functional(rows: np.ndarray) -> np.ndarray:
+    def norms(rows):
         rows = np.asarray(rows, dtype=complex)
-        norm2 = np.einsum("ij,ij->i", np.conj(rows), rows).real
+        return rows, np.einsum("ij,ij->i", np.conj(rows), rows).real
+
+    def qubit_pair(rows: np.ndarray) -> np.ndarray:
+        rows, norm2 = norms(rows)
+        r0, r1, r2, r3 = rows.T
+        minor = r0 * r3 - r2 * r1
+        det = minor.real * minor.real + minor.imag * minor.imag
+        out = 2.0 * np.sqrt(det)
+        out[det < SNAP * norm2**2] = 0.0
+        return out
+
+    def qubit_side(rows: np.ndarray) -> np.ndarray:
+        rows, norm2 = norms(rows)
         m = rows.reshape(-1, da, db)
         if db == 2:
             m = m.transpose(0, 2, 1)
-        if m.shape[1] != 2:
-            w = np.linalg.svd(m, compute_uv=False) ** 2
-            w[w < SNAP * norm2[:, None]] = 0.0
-            return np.add.reduce(np.sqrt(w * (np.add.reduce(w, -1, keepdims=True) - w)), -1)
         outer = m[:, 0, :, None] * m[:, 1, None, :]
         minors = np.ascontiguousarray(outer - outer.transpose(0, 2, 1))
         minors = minors.reshape(len(m), -1).view(float)
@@ -351,7 +363,15 @@ def _marginal_entropy_functional(dims: BipartiteDims):
         out[det < SNAP * norm2**2] = 0.0
         return out
 
-    return functional
+    def singular_values(rows: np.ndarray) -> np.ndarray:
+        rows, norm2 = norms(rows)
+        w = np.linalg.svd(rows.reshape(-1, da, db), compute_uv=False) ** 2
+        w[w < SNAP * norm2[:, None]] = 0.0
+        return np.add.reduce(np.sqrt(w * (np.add.reduce(w, -1, keepdims=True) - w)), -1)
+
+    if (da, db) == (2, 2):
+        return qubit_pair
+    return qubit_side if 2 in (da, db) else singular_values
 
 
 RANK_TOL = 1e-12
@@ -431,7 +451,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     functional = _marginal_entropy_functional(rho.dims)
 
     def cost(u):
-        return float(np.add.reduce(functional(u[:, :rank] @ rows)))
+        return float(np.add.reduce(functional(u[:, :rank].dot(rows))))
 
     floor = certified_lower(rho)
     if rank == 1:
@@ -440,7 +460,7 @@ def mixed_entanglement(rho: DensityOperator, config: OptimizerConfig = ROOF_SEAR
     else:
         value, u, diag = _multistart(cost, k_terms, {"identity": None}, config, floor)
 
-    psi = u[:, :rank] @ rows
+    psi = u[:, :rank].dot(rows)
     p = (psi.real**2 + psi.imag**2).sum(axis=1)
     kept = p >= TERM_WEIGHT_FLOOR
     probs = p[kept]

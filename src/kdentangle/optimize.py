@@ -250,21 +250,33 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig,
     restart point is scored just before its descent, so every start point is
     scored exactly once and the skip costs no evaluation. The default
     ``-inf`` never skips.
-    Returns ``(value, unitary, diagnostics)``, the unitary the one scored.
+
+    Each start's objective is built once, as ``cost(unitary_from_angles(a,
+    dim))``, or ``cost(ref.dot(unitary_from_angles(a, dim)))`` for a start
+    with a reference, with no helper call between. ``unitary_from_angles``
+    is looked up through the module at each call, so a patch of that name
+    (the benchmark tracer's) sees every point, and each point calls it and
+    ``cost`` once. Returns ``(value, unitary, diagnostics)``, the unitary the one scored.
     """
+    def objective_at(ref):
+        if ref is None:
+            return lambda a: cost(unitary_from_angles(a, dim))
+        return lambda a: cost(ref.dot(unitary_from_angles(a, dim)))
+
+    def scored(label, ref, x0):
+        objective = objective_at(ref)
+        return label, ref, objective, x0, float(objective(x0))
+
     def rotated(ref, angles):
         u = unitary_from_angles(angles, dim)
         return u if ref is None else ref.dot(u)
-
-    def scored(label, ref, x0):
-        return label, ref, x0, float(cost(rotated(ref, x0)))
 
     zero = np.zeros(angle_count(dim))
     named = []
     for label, ref in references.items():
         start = scored(label, ref, zero)
-        if start[3] <= floor + config.tol:
-            return start[3], rotated(ref, zero), SearchDiagnostics(
+        if start[4] <= floor + config.tol:
+            return start[4], rotated(ref, zero), SearchDiagnostics(
                 config.restarts, label, 0, True)
         named.append(start)
     restarts = (
@@ -275,9 +287,7 @@ def _multistart(cost, dim: int, references, config: OptimizerConfig,
     best = None
     iterations = 0
     converged = False
-    for label, ref, x0, start_value in itertools.chain(named, restarts):
-        def objective(a, ref=ref):
-            return cost(rotated(ref, a))
+    for label, ref, objective, x0, start_value in itertools.chain(named, restarts):
         res = _scipy_minimize(objective, x0, max_iters=config.max_iters)
         iterations += int(res.nit)
         converged = converged or bool(res.success)

@@ -215,11 +215,27 @@ def counted_starts(monkeypatch):
     return starts
 
 
+def counted_asymmetry_searches(monkeypatch):
+    """A list of the sides ``bounds_report`` runs ``asymmetry_lower_bound``
+    on from now on."""
+    ours = entanglement.asymmetry_lower_bound
+    sides = []
+
+    def count(rho, side="A", *args, **kwargs):
+        sides.append(side)
+        return ours(rho, side, *args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "asymmetry_lower_bound", count)
+    return sides
+
+
 @pytest.mark.parametrize("spec", ["werner:0.0", "werner:0.5", "bell",
                                   "isotropic:3:0.7", "max-entangled:3"])
 def test_bounds_report_searches_a_swap_invariant_state_once(spec, monkeypatch):
     # the swapped matrix and the B marginal equal side A's bit for bit, so the
-    # side-B search would repeat the side-A search: the report runs one side's
+    # side-B search would repeat the side-A search: the report runs one side's.
+    # The search calls are counted, since a search answered by its zero floor
+    # (werner:0.0) runs no descent to count
     rho = as_density(ke.make_state(spec))
     cfg = ke.OptimizerConfig(restarts=1, max_iters=200, seed=1)
     starts = counted_starts(monkeypatch)
@@ -227,7 +243,9 @@ def test_bounds_report_searches_a_swap_invariant_state_once(spec, monkeypatch):
     lower_b, _, _ = ke.asymmetry_lower_bound(rho, "B", cfg)
     one_side = starts[0] // 2
     starts[0] = 0
+    searches = counted_asymmetry_searches(monkeypatch)
     report = ke.bounds_report(rho, cfg)
+    assert searches == ["A"]
     assert starts[0] == one_side
     assert (report.lower, report.lower_swapped) == (lower, lower_b)
     assert report.best_lower == max(lower, lower_b)
@@ -236,10 +254,13 @@ def test_bounds_report_searches_a_swap_invariant_state_once(spec, monkeypatch):
 def test_bounds_report_searches_both_sides_of_other_states(monkeypatch):
     cfg = ke.OptimizerConfig(restarts=1, max_iters=100, seed=1)
     starts = counted_starts(monkeypatch)
+    searches = counted_asymmetry_searches(monkeypatch)
     for dims, seed in (((2, 2), 11), ((2, 3), 12)):
         rho = ke.random_mixed(ke.BipartiteDims(*dims), 2, seed)
         starts[0] = 0
+        searches.clear()
         report = ke.bounds_report(rho, cfg)
+        assert searches == ["A", "B"]
         # identity, warm and one restart on each side
         assert starts[0] == 6
         assert report.lower == ke.asymmetry_lower_bound(rho, "A", cfg)[0]
@@ -533,6 +554,19 @@ def test_pure_state_bound_chain():
         assert rep.normalized <= rep.concurrence + 1e-9
 
 
+@pytest.mark.parametrize("db", [2, 3, 4])
+def test_asymmetry_is_tight_on_pure_states_with_a_qubit_side(db):
+    # on a pure state _pattern_sup reads only the diagonal d of rho_A in the
+    # searched basis, 2 sqrt(d0 (1 - d0)) at dA = 2, and d0 ranges over
+    # [lam2, lam1] (Schur-Horn), so the extremal asymmetry is 2 sqrt(lam1 lam2),
+    # the pure-state value E, on every 2 x n state
+    for seed in range(8):
+        state = ke.haar_pure(ke.BipartiteDims(2, db), seed)
+        lower, _, _ = ke.asymmetry_lower_bound(state.density(), "A",
+                                               entanglement.ASYMMETRY_SEARCH)
+        assert abs(lower - ke.pure_entanglement(state).value) <= 1e-12
+
+
 def test_two_qubit_normalized_equals_concurrence():
     rng = np.random.default_rng(49)
     for _ in range(50):
@@ -674,16 +708,28 @@ def where_form_functional(dims):
     return functional
 
 
-@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
 def test_roof_functional_equals_where_form(da, db):
     dims = ke.BipartiteDims(da, db)
     rng = np.random.default_rng(da * 10 + db)
     gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
     product = (gauss(40, da)[:, :, None] * gauss(40, db)[:, None, :]).reshape(40, -1)
-    rows = np.concatenate([gauss(40, da * db), product, np.zeros((5, da * db))])
-    rows = rows[rng.permutation(len(rows))]
-    values = entanglement._marginal_entropy_functional(dims)(rows)
-    assert np.array_equal(values, where_form_functional(dims)(rows))
+    # rows at the snap: the smaller Schmidt weight lam of a unit row is
+    # SNAP times a factor in [1/10, 10], so D = lam (1 - lam) and the
+    # weight itself sit within a factor of 10 of their thresholds, on both
+    # sides; local unitaries and a scale c make the rows generic
+    lam = entanglement.SNAP * 10.0 ** rng.uniform(-1.0, 1.0, 40)
+    near = np.zeros((40, da, db), dtype=complex)
+    near[:, 0, 0], near[:, 1, 1] = np.sqrt(1.0 - lam), np.sqrt(lam)
+    ua, ub = np.linalg.qr(gauss(40, da, da))[0], np.linalg.qr(gauss(40, db, db))[0]
+    c = rng.lognormal(0.0, 3.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    near = (c[:, None, None] * ua @ near @ ub.transpose(0, 2, 1)).reshape(40, -1)
+    rows = np.concatenate([gauss(40, da * db), product, near, np.zeros((5, da * db))])
+    order = rng.permutation(len(rows))
+    values = entanglement._marginal_entropy_functional(dims)(rows[order])
+    assert np.array_equal(values, where_form_functional(dims)(rows[order]))
+    at_snap = values[np.argsort(order)][80:120]
+    assert (at_snap == 0.0).any() and (at_snap > 0.0).any()
 
 
 def test_cached_constants_are_read_only():
