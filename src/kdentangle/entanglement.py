@@ -157,15 +157,16 @@ def _plus_sets(d: int) -> tuple:
                  for tail in tails)
 
 
-def _pattern_sup(rho_mat: np.ndarray, dims, basis: np.ndarray) -> float:
+def _pattern_sup(state: np.ndarray, dims, basis: np.ndarray) -> float:
     """Exact supremum of ``||[X (x) I_B, rho]||_1 / 2`` over unit-operator-norm
     Hermitian generators ``X`` on subsystem A with the given eigenbasis: the
     objective is convex on the eigenvalue hypercube, so the supremum sits at
     a sign-pattern vertex ``X = 2 P - I``, with ``P`` the projector onto the
     basis vectors signed ``+``. There ``||[X, rho]||_1 / 2 = ||[P, rho]||_1``,
     so the value is the largest ``commutator_trace_norm`` over the ``+``
-    sets, every vertex in one call."""
-    norms = linalg.commutator_trace_norm(rho_mat, basis, dims,
+    sets, every vertex in one call. ``state`` is the density matrix or, for
+    a pure state, its ket (see ``_search_operand``)."""
+    norms = linalg.commutator_trace_norm(state, basis, dims,
                                          _plus_sets(basis.shape[0]))
     return float(np.maximum.reduce(norms))
 
@@ -180,6 +181,26 @@ def _swapped_matrix(rho: DensityOperator) -> np.ndarray:
     return rho.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, -1)
 
 
+def _search_operand(mat: np.ndarray) -> np.ndarray:
+    """What a basis search hands ``commutator_trace_norm`` for the state
+    matrix ``mat``: the ket ``sqrt(q) v`` when ``mat`` has exactly one
+    eigenvalue ``q`` above ``RANK_TOL`` (the rank ``mixed_entanglement``
+    counts), with ``v`` its eigenvector, else ``mat`` itself. Decided once
+    per search.
+
+    The trace is within ``NORM_TOL`` of 1, so a state of rank one has
+    ``q >= 1 - NORM_TOL - N RANK_TOL`` and purity ``Tr rho^2 >= q^2``; a
+    state whose purity ``sum |rho_ij|^2`` falls below that pays no
+    eigen-solve."""
+    n = mat.shape[0]
+    if np.vdot(mat, mat).real < 1.0 - 2.0 * (NORM_TOL + n * RANK_TOL):
+        return mat
+    q, v = np.linalg.eigh(mat)
+    if np.count_nonzero(q > RANK_TOL) != 1:
+        return mat
+    return np.sqrt(q[-1]) * v[:, -1]
+
+
 def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
                           config: OptimizerConfig = ASYMMETRY_SEARCH):
     """Extremal trace-norm asymmetry of the state relative to local Hermitian
@@ -187,8 +208,10 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     outer infimum over local bases by seeded multistart search, warm started
     at the eigenbasis of ``rho.marginal(side)`` as ``np.linalg.eigh`` returns
     it. Side B is searched as side A of the state with its subsystems
-    swapped (``_swapped_matrix``). The objective is never below 0, so an
-    identity or warm basis that scores within ``config.tol`` of 0 is
+    swapped (``_swapped_matrix``). A state of rank one is scored from its
+    ket (``_search_operand``), two vector norms per sign pattern; any other
+    state from its matrix, one stacked SVD. The objective is never below 0,
+    so an identity or warm basis that scores within ``config.tol`` of 0 is
     returned with no descent.
 
     Returns ``(value, basis, diagnostics)``.
@@ -198,9 +221,12 @@ def asymmetry_lower_bound(rho: DensityOperator, side: str = "A",
     mat = rho.matrix
     if side == "B":
         mat, da, db = _swapped_matrix(rho), db, da
-    # floor 0: the objective is the largest of sums of singular values
+    operand = _search_operand(mat)
+    # floor 0: the objective is the largest of products of norms or sums of
+    # singular values
     return minimize_over_bases(
-        rho.marginal(side), lambda basis: _pattern_sup(mat, (da, db), basis), config, 0.0)
+        rho.marginal(side), lambda basis: _pattern_sup(operand, (da, db), basis), config,
+        0.0)
 
 
 def certified_lower(rho: DensityOperator) -> float:
@@ -302,14 +328,18 @@ def minimized_nonreality(rho: DensityOperator, config: OptimizerConfig = NONREAL
     projector). The objective is never below 0, so an identity or warm basis
     that scores within ``config.tol`` of 0 is returned with no descent; the
     pure-state closed form is not used as a floor, so the search is checked
-    against it rather than stopped by it.
+    against it rather than stopped by it. A state of rank one is scored from
+    its ket (``_search_operand``), two vector norms per outcome; any other
+    state from its matrix, one stacked SVD.
 
     Returns ``(value, basis, diagnostics)``.
     """
     dims = rho.dims.as_tuple()
-    # floor 0: the objective is half a sum of singular values
+    operand = _search_operand(rho.matrix)
+    # floor 0: the objective is half a sum of products of norms or of
+    # singular values
     return minimize_over_bases(
-        rho.marginal("A"), lambda basis: _max_nonreality_mat(rho.matrix, dims, basis),
+        rho.marginal("A"), lambda basis: _max_nonreality_mat(operand, dims, basis),
         config, 0.0)
 
 

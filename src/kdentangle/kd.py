@@ -111,8 +111,13 @@ def _singletons(d: int) -> tuple:
     return tuple((x,) for x in range(d))
 
 
-def _max_nonreality_mat(rho_mat: np.ndarray, dims, basis_a: np.ndarray) -> float:
-    norms = linalg.commutator_trace_norm(rho_mat, basis_a, dims,
+def _max_nonreality_mat(state: np.ndarray, dims, basis_a: np.ndarray) -> float:
+    """``max_nonreality`` of ``state``, a density matrix or, for a pure
+    state, its ket: half the sum of ``commutator_trace_norm`` over the
+    singletons. ``max_nonreality`` passes the matrix (one stacked SVD); a
+    basis search on a rank-one state passes the ket (two vector norms per
+    outcome, no SVD)."""
+    norms = linalg.commutator_trace_norm(state, basis_a, dims,
                                          _singletons(basis_a.shape[0]))
     return float(np.add.reduce(norms)) / 2.0
 

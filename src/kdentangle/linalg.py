@@ -45,31 +45,59 @@ def hermitian_trace_norm(h):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def commutator_trace_norm(rho, basis, dims, subsets) -> np.ndarray:
+def commutator_trace_norm(state, basis, dims, subsets) -> np.ndarray:
     """``||[P_S (x) I_B, rho]||_1`` for each local outcome subset ``S`` of
     ``subsets`` (a tuple of index tuples), with ``P_S`` the projector onto
     the columns ``S`` of the subsystem-A basis ``basis``; ``(k,)`` out. A
     search over subsystem B runs on the state with its subsystems swapped.
+    ``state`` is the ``N x N`` matrix ``rho``, or a length-``N`` ket ``psi``
+    for the rank-one ``rho = psi psi^dag``.
 
     For a projector ``P`` and ``Q = 1 - P`` the commutator is
     ``P rho Q - Q rho P``, block off-diagonal, so for Hermitian ``rho`` its
-    trace norm is ``2 ||P rho Q||_1``. ``rho`` is rotated once into the
-    product frame of ``basis``, where each ``P_S (x) I_B`` is a coordinate
-    projector, and every block ``<S| rho |S^c>`` (shorter side first,
-    zero-padded to one shape, which adds only zero singular values) goes
-    through one stacked SVD. The block form assumes ``rho = rho^dag``: for a
-    near-Hermitian ``rho`` it reads the ``<S| rho |S^c>`` blocks alone.
+    trace norm is ``2 ||P rho Q||_1``.
 
-    The rotation takes ``rho - I / N``, which no commutator sees: its
-    roundoff then scales with what is left, so the maximally mixed state
-    gets exact zeros, as the full commutator gives, and a search on it sees
-    a flat objective rather than roundoff.
+    A ket is rotated once, as a ``dA x dB`` amplitude matrix, by ``basis^dag``
+    into the product frame; ``w`` are its squared row norms. There
+    ``P rho Q = (P psi)(Q psi)^dag`` has rank one, so each norm is
+    ``2 ||P psi|| ||Q psi||``, the two factors summed from the rows inside
+    and outside ``S`` (not one as ``|psi|^2`` less the other): a product
+    state whose rows lie on one side scores an exact 0.
+
+    A matrix is rotated once into the product frame of ``basis``, where each
+    ``P_S (x) I_B`` is a coordinate projector, and every block
+    ``<S| rho |S^c>`` (shorter side first, zero-padded to one shape, which
+    adds only zero singular values) goes through one stacked SVD. The block
+    form assumes ``rho = rho^dag``: for a near-Hermitian ``rho`` it reads the
+    ``<S| rho |S^c>`` blocks alone. The rotation takes ``rho - I / N``,
+    which no commutator sees: its roundoff then scales with what is left, so
+    the maximally mixed state gets exact zeros, as the full commutator
+    gives, and a search on it sees a flat objective rather than roundoff.
     """
+    if state.ndim == 1:
+        da, db = int(dims[0]), int(dims[1])
+        rotated = dagger(basis).dot(state.reshape(da, db))
+        w = np.add.reduce((rotated.conj() * rotated).real, -1)
+        sides = np.sqrt(_membership(da, subsets).dot(w))
+        return 2.0 * sides[:len(subsets)] * sides[len(subsets):]
     u = embed_local(basis[None], dims)[0]
-    rotated = dagger(u).dot(rho - _maximally_mixed(rho.shape[0])).dot(u)
+    rotated = dagger(u).dot(state - _maximally_mixed(state.shape[0])).dot(u)
     padded = np.concatenate((rotated, _ZERO), axis=None)
     blocks = padded[_block_plan(int(dims[0]), int(dims[1]), subsets)]
     return 2.0 * np.add.reduce(np.linalg.svd(blocks, compute_uv=False), -1)
+
+
+@functools.cache
+def _membership(da: int, subsets) -> np.ndarray:
+    """Read-only ``(2k, da)`` 0/1 rows: row ``j`` marks the subsystem-A
+    outcomes in ``subsets[j]``, row ``k + j`` those outside it. Built once
+    per ``(da, subsets)``."""
+    inside = np.zeros((len(subsets), da))
+    for j, s in enumerate(subsets):
+        inside[j, list(s)] = 1.0
+    both = np.concatenate((inside, 1.0 - inside))
+    both.setflags(write=False)
+    return both
 
 
 @functools.cache

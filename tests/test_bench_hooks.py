@@ -72,8 +72,11 @@ def test_spans_see_every_evaluation():
     # within tol of its floor 0 scores the named points up to that one and
     # descends from none. The basis searches make no eigvalsh call; the roof
     # run makes four: one to accept the Werner state, two for the
-    # marginal-entropy bounds, one for the floor
+    # marginal-entropy bounds, one for the floor. The Haar-pure searches score
+    # the ket, the rank-2 search the matrix; their counts follow the roundoff
+    # of each path
     rho = ke.haar_pure(ke.BipartiteDims(3, 3), 3).density()
+    rank_two = ke.random_mixed(ke.BipartiteDims(3, 3), 2, 5)
     maximally_mixed = ke.werner_state(0.0)
     rho_a = ke.random_mixed(ke.BipartiteDims(2, 2), 2, 5).marginal("A")
     qubit_mixed = ke.DensityOperator(ke.BipartiteDims(2, 2), np.kron(rho_a, np.eye(2) / 2))
@@ -84,7 +87,10 @@ def test_spans_see_every_evaluation():
          ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 684, 4, 4, 0),
         (lambda: entanglement.asymmetry_lower_bound(
             rho, "B", ke.OptimizerConfig(restarts=2, max_iters=100)),
-         asymmetry, 745, 4, 4, 0),
+         asymmetry, 738, 4, 4, 0),
+        (lambda: entanglement.minimized_nonreality(
+            rank_two, ke.OptimizerConfig(restarts=2, max_iters=100)),
+         ("kd.max_nonreality_mat", "linalg.commutator_trace_norm"), 656, 4, 4, 0),
         (lambda: entanglement.mixed_entanglement(
             ke.werner_state(0.6), ke.OptimizerConfig(restarts=2, max_iters=200), terms=4),
          ("entanglement.roof_functional",), 976, 3, 3, 4),

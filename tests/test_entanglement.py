@@ -301,6 +301,27 @@ def test_pattern_sup_is_max_nonreality_on_a_qubit_side():
             assert abs(sup - total) <= 1e-12
 
 
+def test_search_operand_is_the_ket_of_a_rank_one_state_only():
+    # the rank rule is mixed_entanglement's: exactly one eigenvalue above
+    # RANK_TOL. A rank-one state hands over a ket of its matrix; any other
+    # state, a weight just above RANK_TOL included, hands over the matrix
+    rng = np.random.default_rng(32)
+    dims = ke.BipartiteDims(3, 2)
+    psi, phi = (ke.haar_pure(dims, rng).amplitudes for _ in range(2))
+    pure = np.outer(psi, psi.conj())
+    for weight, rank_one in ((0.0, True), (1e-13, True), (1e-11, False), (0.3, False)):
+        mat = (1.0 - weight) * pure + weight * np.outer(phi, phi.conj())
+        operand = entanglement._search_operand(mat)
+        if rank_one:
+            assert operand.shape == (dims.total,)
+            assert np.abs(np.outer(operand, operand.conj()) - mat).max() <= 1e-12
+        else:
+            assert operand is mat
+    for rank in (2, 6):
+        mat = ke.random_mixed(dims, rank, rng).matrix
+        assert entanglement._search_operand(mat) is mat
+
+
 def test_wootters_concurrence():
     for p in (0.0, 0.3, 0.5, 0.8, 1.0):
         rho = ke.werner_state(p)
@@ -565,6 +586,25 @@ def test_asymmetry_is_tight_on_pure_states_with_a_qubit_side(db):
         lower, _, _ = ke.asymmetry_lower_bound(state.density(), "A",
                                                entanglement.ASYMMETRY_SEARCH)
         assert abs(lower - ke.pure_entanglement(state).value) <= 1e-12
+
+
+def qutrit_side_asymmetry(state) -> float:
+    """Closed form of the extremal asymmetry of a pure 3 x n state. The ``+``
+    sets are the singletons up to complement, and ``2 sqrt(t (1 - t))`` is
+    symmetric about 1/2, so either every diagonal entry of rho_A in the
+    searched basis is at most 1/2, best at the barycentre 1/3, or the
+    largest is ``lam_max > 1/2`` (Schur-Horn)."""
+    lam_max = float(ke.schmidt(state).coefficients[0] ** 2)
+    return min(2 * np.sqrt(2) / 3, 2 * np.sqrt(lam_max * (1 - lam_max)))
+
+
+@pytest.mark.parametrize("db", [2, 3, 4])
+def test_asymmetry_has_a_closed_form_on_pure_states_with_a_qutrit_side(db):
+    for seed in range(8):
+        state = ke.haar_pure(ke.BipartiteDims(3, db), seed)
+        lower, _, _ = ke.asymmetry_lower_bound(state.density(), "A",
+                                               entanglement.ASYMMETRY_SEARCH)
+        assert abs(lower - qutrit_side_asymmetry(state)) <= 1e-6
 
 
 def test_two_qubit_normalized_equals_concurrence():

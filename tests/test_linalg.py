@@ -13,6 +13,8 @@ from kdentangle.states import (
     bell_state,
     haar_pure,
     haar_unitary,
+    max_entangled,
+    product_state,
     random_mixed,
 )
 
@@ -168,3 +170,39 @@ def test_commutator_trace_norm_is_exactly_zero_on_the_maximally_mixed_state(da, 
     norms = linalg.commutator_trace_norm(rho, haar_unitary(da, rng), (da, db),
                                          local_subsets(da))
     assert not norms.any()
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5)])
+def test_commutator_trace_norm_of_a_ket_matches_its_matrix(da, db):
+    # a ket scores each subset as 2 |P psi| |Q psi|, the rank-one block's one
+    # singular value, with no SVD
+    rng = np.random.default_rng([da, db, 32])
+    dims = BipartiteDims(da, db)
+    for subsets in (kd._singletons(da), entanglement._plus_sets(da)):
+        for _ in range(20):
+            psi = haar_pure(dims, rng)
+            basis = haar_unitary(da, rng)
+            got = linalg.commutator_trace_norm(psi.amplitudes, basis, (da, db), subsets)
+            ref = linalg.commutator_trace_norm(psi.outer(), basis, (da, db), subsets)
+            assert got.shape == (len(subsets),)
+            assert np.abs(got - ref).max() <= 1e-13
+
+
+def test_commutator_trace_norm_of_a_ket_on_named_states():
+    # a product state at the computational basis has all its amplitude in
+    # one row: each factor is summed from its own rows, so the norms are an
+    # exact 0, not the roundoff of 1 - |P psi|^2
+    rng = np.random.default_rng(32)
+    for da, db in ((2, 2), (3, 2), (3, 4)):
+        local = haar_unitary(db, rng)[:, 0]
+        for psi in (product_state(BipartiteDims(da, db)).amplitudes,
+                    np.kron(np.eye(da)[da - 1], local)):
+            for subsets in (kd._singletons(da), entanglement._plus_sets(da)):
+                assert not linalg.commutator_trace_norm(psi, np.eye(da), (da, db),
+                                                        subsets).any()
+    psi = max_entangled(3)
+    for subsets in (kd._singletons(3), entanglement._plus_sets(3)):
+        for basis in (np.eye(3), haar_unitary(3, rng)):
+            got = linalg.commutator_trace_norm(psi.amplitudes, basis, (3, 3), subsets)
+            ref = linalg.commutator_trace_norm(psi.outer(), basis, (3, 3), subsets)
+            assert np.abs(got - ref).max() <= 1e-13
